@@ -11,7 +11,7 @@
 
    BENCH_SPEED=full widens the sweeps (more sizes, more seeds);
    BENCH_SKIP_MICRO=1 skips the expensive per-experiment bechamel half —
-   the cheap substrate micro-benches (event queue, PRNG, heaps, oracle)
+   the cheap substrate micro-benches (event queues, PRNG, oracle)
    always run, so micro_ns_per_run is never empty.
 
    A third section benchmarks the model checker itself (layered-BFS
@@ -245,21 +245,6 @@ let a4_once () =
 
 (* --- substrate micro-benches ---------------------------------------- *)
 
-let heap_churn () =
-  let cmp (a1, i1) (a2, i2) =
-    let c = Float.compare a1 a2 in
-    if c <> 0 then c else Int.compare i1 i2
-  in
-  let h = ref (Sim.Pairing_heap.empty ~cmp) in
-  for i = 0 to 999 do
-    h := Sim.Pairing_heap.insert !h (float_of_int ((i * 7919) mod 997), i)
-  done;
-  for _ = 0 to 999 do
-    match Sim.Pairing_heap.pop_min !h with
-    | Some (_, rest) -> h := rest
-    | None -> ()
-  done
-
 (* The engine's actual queue since the packed-event rework: five unboxed
    int fields per event, int-compare ordering.  Keeps the historical
    [substrate/event-queue-1k] name so BENCH_RESULTS.json trajectories
@@ -282,8 +267,8 @@ let event_queue_churn () =
     Sim.Packed_queue.drop_min q
   done
 
-(* Same churn on the generic comparator-based binary heap (the queue the
-   packed one replaced; still used by non-engine callers). *)
+(* Same churn on the comparator-based binary heap behind Netio's
+   timers. *)
 let generic_event_queue_churn () =
   let cmp (a1, i1) (a2, i2) =
     let c = Float.compare a1 a2 in
@@ -321,7 +306,6 @@ let oracle_churn () =
    whole simulated execution per sample. *)
 let cheap_cases =
   [
-    Test.make ~name:"substrate/pairing-heap-1k" (Staged.stage heap_churn);
     Test.make ~name:"substrate/event-queue-1k" (Staged.stage event_queue_churn);
     Test.make ~name:"substrate/generic-event-queue-1k"
       (Staged.stage generic_event_queue_churn);
@@ -482,7 +466,9 @@ let serve_stats ?metrics ~commands ~pipeline () =
               { Smr.Client.default_load with commands; pipeline; seed = 3 })
       in
       let pct q =
-        1000. *. Smr.Client.percentile report.Smr.Client.latencies q
+        let sorted = report.Smr.Client.latencies in
+        if Array.length sorted = 0 then 0.
+        else 1000. *. Sim.Metrics.percentile_sorted q sorted
       in
       (match metrics with
       | Some reg ->

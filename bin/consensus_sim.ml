@@ -1053,53 +1053,42 @@ let lint_cmd =
 (* ------------------------------------------------------------------ *)
 
 let realtime_impl proto n delta ts seed =
-  let cfg =
-    {
-      Realtime.Threads_engine.n;
-      delta;
-      ts;
-      duration = ts +. Float.max 2.0 (200. *. delta);
-      pre_loss = 1.0;
-      seed;
-      faults = [];
-      record_trace = true;
-    }
+  let scenario =
+    Sim.Scenario.make ~name:"realtime" ~n ~ts ~delta ~seed
+      ~horizon:(ts +. Float.max 2.0 (200. *. delta))
+      ~network:(Sim.Network.eventually_synchronous ~pre_loss:1.0 ())
+      ~record_trace:true ()
   in
-  let proposals = Array.init n (fun i -> 100 + i) in
-  let run p = Realtime.Threads_engine.run cfg ~proposals p in
-  let r =
-    match proto with
-    | Modified_paxos ->
-        run (Dgl.Modified_paxos.protocol (Dgl.Config.make ~n ~delta ()))
-    | B_consensus ->
-        run (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ())
-    | Traditional_paxos | Rotating | Smr ->
-        failwith
-          "realtime supports -p modified-paxos and -p b-consensus (the \
-           leader oracle and workload plumbing are simulator-side)"
-  in
-  Format.printf
-    "real threads, wall clock: delta = %.0f ms, silent until %.0f ms@."
-    (delta *. 1000.) (ts *. 1000.);
-  Array.iteri
-    (fun p d ->
-      match d with
-      | Some (t, v) ->
+  let report r =
+    Format.printf "wall clock: delta = %.0f ms, silent until %.0f ms@."
+      (delta *. 1000.) (ts *. 1000.);
+    let decided = Sim.Engine.decisions r in
+    for p = 0 to n - 1 do
+      match List.find_opt (fun (q, _, _) -> q = p) decided with
+      | Some (_, t, v) ->
           Format.printf "  p%d decided %d at %4.0f ms (%.1f delta after ts)@."
             p v (t *. 1000.)
             ((t -. ts) /. delta)
-      | None -> Format.printf "  p%d: no decision by the deadline@." p)
-    r.Realtime.Threads_engine.decisions;
-  Format.printf "messages: %d sent, %d delivered, %d dropped@."
-    r.Realtime.Threads_engine.messages_sent r.messages_delivered
-    r.messages_dropped;
-  if r.Realtime.Threads_engine.agreement_violation then
-    Format.printf "AGREEMENT VIOLATION@.";
-  (* The same trace-driven checker the simulator uses: wall-clock trace,
-     so no timer bounds, but agreement/causality/monotonicity apply. *)
-  Format.printf "%a@." Harness.Invariants.pp
-    (Harness.Invariants.check ~proposals
-       r.Realtime.Threads_engine.trace)
+      | None -> Format.printf "  p%d: no decision by the deadline@." p
+    done;
+    Format.printf "messages: %d sent, %d delivered, %d dropped@."
+      r.Sim.Engine.messages_sent r.messages_delivered r.messages_dropped;
+    if Option.is_some r.agreement_violation then
+      Format.printf "AGREEMENT VIOLATION@.";
+    (* The same trace-driven checker the simulator uses: wall-clock trace,
+       so no timer bounds, but agreement/causality/monotonicity apply. *)
+    Format.printf "%a@." Harness.Invariants.pp (Harness.Invariants.check_run r)
+  in
+  let run p = report (Realtime.Host.run scenario p) in
+  match proto with
+  | Modified_paxos ->
+      run (Dgl.Modified_paxos.protocol (Dgl.Config.make ~n ~delta ()))
+  | B_consensus ->
+      run (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ())
+  | Traditional_paxos | Rotating | Smr ->
+      failwith
+        "realtime supports -p modified-paxos and -p b-consensus (the \
+         leader oracle and workload plumbing are simulator-side)"
 
 let realtime_cmd =
   let delta_rt =
@@ -1116,8 +1105,8 @@ let realtime_cmd =
   Cmd.v
     (Cmd.info "realtime"
        ~doc:
-         "Run the protocol over OS threads and wall-clock delays instead \
-          of the simulator.")
+         "Run the protocol on the wall clock (one event loop, real \
+          delays) instead of the simulator.")
     Term.(const realtime_impl $ proto_arg $ n_arg $ delta_rt $ ts_rt $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1365,7 +1354,11 @@ let client_impl cluster member op_args load commands pipeline value_bytes
           (fun l ->
             Sim.Registry.observe reg "serve_client_latency_delta" (l /. delta))
           report.Smr.Client.latencies;
-        let pct q = Smr.Client.percentile report.Smr.Client.latencies q in
+        let pct q =
+          let sorted = report.Smr.Client.latencies in
+          if Array.length sorted = 0 then 0.
+          else Sim.Metrics.percentile_sorted q sorted
+        in
         Printf.printf
           "load: %d commands in %.3fs = %.0f cmd/s (%d resubmitted, %d \
            reconnects, %.3fs backoff)\n"

@@ -1,55 +1,44 @@
-(* The same algorithm, off the simulator: real threads, real clocks.
+(* The same algorithm, off the simulator: real clocks, real delays.
 
      dune exec examples/realtime_demo.exe
 
    Every other example runs over the discrete-event simulator.  This one
-   runs the identical Modified-Paxos protocol record over
-   [Realtime.Threads_engine]: one OS thread per process, an in-memory
-   router imposing genuine wall-clock delays (silent before ts, within
-   delta after), timers from the system clock.  The protocol code cannot
-   tell the difference — it sees the same {!Sim.Runtime.ctx}
-   capabilities. *)
+   hands the identical scenario and Modified-Paxos protocol record to
+   [Realtime.Host]: one event loop on the wall clock, delivering each
+   message after a genuine delay drawn from the scenario's network
+   (silent before ts, within delta after), with timers from the system
+   clock.  The protocol code cannot tell the difference — it sees the
+   same {!Sim.Runtime.ctx} capabilities. *)
 
 let () =
   let n = 5 in
   let delta = 0.02 (* 20 ms *) in
   let ts = 0.25 (* network silent for the first 250 ms *) in
-  let cfg =
-    {
-      Realtime.Threads_engine.n;
-      delta;
-      ts;
-      duration = 5.0;
-      pre_loss = 1.0;
-      seed = 11L;
-      faults = [];
-      record_trace = false;
-    }
+  let scenario =
+    Sim.Scenario.make ~name:"realtime-demo" ~n ~ts ~delta ~seed:11L
+      ~horizon:5.0
+      ~network:(Sim.Network.eventually_synchronous ~pre_loss:1.0 ())
+      ()
   in
-  let proposals = Array.init n (fun i -> 100 + i) in
   Format.printf
-    "running modified Paxos on %d OS threads: delta = %.0f ms, network \
-     silent for the first %.0f ms...@."
+    "running modified Paxos on the wall clock: %d processes, delta = %.0f \
+     ms, network silent for the first %.0f ms...@."
     n (delta *. 1000.) (ts *. 1000.);
-  let t0 = Unix.gettimeofday () in
   let r =
-    Realtime.Threads_engine.run cfg ~proposals
+    Realtime.Host.run scenario
       (Dgl.Modified_paxos.protocol (Dgl.Config.make ~n ~delta ()))
   in
-  ignore t0;
-  Array.iteri
-    (fun p d ->
-      match d with
-      | Some (t, v) ->
-          Format.printf
-            "  process %d decided %d at wall time %4.0f ms (%.1f delta \
-             after stabilization)@."
-            p v (t *. 1000.)
-            ((t -. ts) /. delta)
-      | None -> Format.printf "  process %d: no decision@." p)
-    r.decisions;
+  List.iter
+    (fun (p, t, v) ->
+      Format.printf
+        "  process %d decided %d at wall time %4.0f ms (%.1f delta after \
+         stabilization)@."
+        p v (t *. 1000.)
+        ((t -. ts) /. delta))
+    (Sim.Engine.decisions r);
   Format.printf "messages: %d sent, %d delivered, %d dropped pre-ts@."
     r.messages_sent r.messages_delivered r.messages_dropped;
   Format.printf "%s@."
-    (if r.agreement_violation then "AGREEMENT VIOLATION"
-     else "all threads agree — same protocol, real time.")
+    (if Sim.Engine.all_decided r then
+       "all processes agree — same protocol, real time."
+     else "NOT ALL PROCESSES DECIDED IN AGREEMENT")

@@ -1,8 +1,8 @@
 (** Trace-driven invariant checking.
 
     Every check here is computed from a {!Sim.Trace.t} alone, so it
-    applies equally to a live {!Sim.Engine} run, a
-    {!Realtime.Threads_engine} run, or a trace re-imported from JSONL.
+    applies equally to a {!Sim.Engine} run, a wall-clock
+    [Realtime.Host] run, or a trace re-imported from JSONL.
     The checks:
 
     - {b agreement}: all [Decide] entries carry the same value;

@@ -50,7 +50,7 @@ type t = {
   mutable registry : Sim.Registry.t option;  (* netio_* drop counters *)
 }
 
-(* the realtime engine owns the wall clock: lib/realtime is R1-exempt
+(* this loop owns the wall clock: lib/realtime is R1-exempt
    by scope, so no sited allow is needed here *)
 let wall () = Unix.gettimeofday ()
 

@@ -40,10 +40,6 @@ let add t x =
 
 let peek_min t = if t.size = 0 then None else Some t.data.(0)
 
-let peek_min_exn t =
-  if t.size = 0 then invalid_arg "Event_queue.peek_min_exn: empty queue";
-  t.data.(0)
-
 let sift_down t x =
   (* Place [x] starting from the root; the slot at the end was vacated. *)
   let i = ref 0 in
@@ -65,25 +61,14 @@ let sift_down t x =
   done;
   t.data.(!i) <- x
 
-let pop_min_exn t =
-  if t.size = 0 then invalid_arg "Event_queue.pop_min_exn: empty queue";
-  let min = t.data.(0) in
-  t.size <- t.size - 1;
-  let last = t.data.(t.size) in
-  (* The slot past [size] keeps a stale reference to [last], which the
-     heap still holds elsewhere — no extra retention. *)
-  if t.size > 0 then sift_down t last else t.data.(0) <- last;
-  min
-
-let pop_min t = if t.size = 0 then None else Some (pop_min_exn t)
-
-let of_list ~cmp xs =
-  let t = create ~capacity:(Stdlib.max 1 (List.length xs)) ~cmp () in
-  List.iter (add t) xs;
-  t
-
-let drain_sorted t =
-  let rec loop acc =
-    match pop_min t with None -> List.rev acc | Some x -> loop (x :: acc)
-  in
-  loop []
+let pop_min t =
+  if t.size = 0 then None
+  else begin
+    let min = t.data.(0) in
+    t.size <- t.size - 1;
+    let last = t.data.(t.size) in
+    (* The slot past [size] keeps a stale reference to [last], which the
+       heap still holds elsewhere — no extra retention. *)
+    if t.size > 0 then sift_down t last else t.data.(0) <- last;
+    Some min
+  end

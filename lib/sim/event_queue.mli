@@ -1,16 +1,17 @@
-(** Mutable array-backed binary min-heap, the simulator's event queue.
+(** Mutable array-backed binary min-heap: the timer heap of
+    [Realtime.Netio].
 
-    The functional {!Pairing_heap} allocates a node per insert and churns
-    the minor heap on every [pop_min]; this heap stores elements in a
-    flat array that grows in place (doubling), so the steady state of the
-    event loop allocates nothing.  One heap drives one {!Engine.run} and
-    is never shared across domains.
+    Elements live in a flat array that grows in place (doubling), so
+    steady-state churn allocates only the [Some] of {!peek_min} and
+    {!pop_min}.  Binary heaps are not stable, so callers that need a
+    deterministic order among equal keys must make the comparison
+    total; Netio folds an arming sequence number into its [cmp], so
+    timers with one deadline fire in arming order.
 
-    The heap is a min-heap with respect to the comparison supplied at
-    creation.  Binary heaps are not stable, so callers that need
-    deterministic order among equal keys must make the comparison total —
-    the engine folds its insertion sequence number into [cmp], preserving
-    the [(time, seq)] order of the functional queue exactly. *)
+    Netio cannot use the simulator's {!Packed_queue} instead: that
+    queue's floor advances whenever its minimum is peeked, and Netio
+    peeks on every step to size its [select] timeout, so a timer armed
+    afterwards with an earlier deadline would fall below the floor. *)
 
 type 'a t
 
@@ -23,8 +24,8 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-(** Pushes an element; amortised O(log n), O(1) allocation-free except
-    when the backing array doubles. *)
+(** Pushes an element; amortised O(log n), allocation-free except when
+    the backing array doubles. *)
 val add : 'a t -> 'a -> unit
 
 (** Smallest element, if any, without removing it. *)
@@ -32,19 +33,3 @@ val peek_min : 'a t -> 'a option
 
 (** Removes and returns the smallest element. *)
 val pop_min : 'a t -> 'a option
-
-(** Like {!peek_min} but without the [Some] allocation; raises
-    [Invalid_argument] on an empty queue.  Callers on allocation-free
-    paths pair it with {!is_empty}. *)
-val peek_min_exn : 'a t -> 'a
-
-(** Like {!pop_min} but without the [Some] allocation; raises
-    [Invalid_argument] on an empty queue. *)
-val pop_min_exn : 'a t -> 'a
-
-(** [of_list ~cmp xs] builds a heap containing [xs]. *)
-val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
-
-(** Drains the heap (destructively); returns elements in ascending
-    order. *)
-val drain_sorted : 'a t -> 'a list

@@ -1,7 +1,7 @@
 (** The capability record protocols run against.
 
-    {!Engine} (the discrete-event simulator) and any other executor (for
-    instance the thread-based real-time runner in [lib/realtime]) give
+    {!Engine} (the discrete-event simulator) and the other executors
+    (the wall-clock [Realtime.Host] and the socket replica [Smr.Replica]) give
     protocols the same handle: a record of closures for sending, timing,
     persistence and deciding.  Protocol code never constructs one of
     these — it receives them from its executor and calls them through

@@ -255,11 +255,6 @@ type report = {
          latency trace as data, whether or not a JSONL sink was given *)
 }
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(Stdlib.min (n - 1) (int_of_float (q *. float_of_int n)))
-
 let gen_op rng ~mix ~keyspace ~value_bytes i =
   match mix with
   | Unique_puts ->

@@ -1,10 +1,25 @@
-(* The mutable binary-heap event queue must be observationally identical
-   to the functional pairing heap it replaced: same drain order under the
-   engine's (time, seq) comparison, including time ties. *)
+(* The binary heap behind Netio's timers must drain in (time, seq)
+   order, including time ties.  The model is a stable sort of the same
+   elements, as in the packed-queue tests. *)
 
 let cmp (t1, s1) (t2, s2) =
   let c = compare (t1 : float) t2 in
   if c <> 0 then c else compare (s1 : int) s2
+
+let model evs = List.stable_sort cmp evs
+
+let of_list ?capacity ~cmp xs =
+  let q = Sim.Event_queue.create ?capacity ~cmp () in
+  List.iter (Sim.Event_queue.add q) xs;
+  q
+
+let drain q =
+  let rec go acc =
+    match Sim.Event_queue.pop_min q with
+    | None -> List.rev acc
+    | Some x -> go (x :: acc)
+  in
+  go []
 
 let test_empty () =
   let q = Sim.Event_queue.create ~cmp:compare () in
@@ -13,55 +28,31 @@ let test_empty () =
   Alcotest.(check (option int)) "peek" None (Sim.Event_queue.peek_min q);
   Alcotest.(check (option int)) "pop" None (Sim.Event_queue.pop_min q)
 
-let test_exn_on_empty () =
-  let q = Sim.Event_queue.create ~cmp:compare () in
-  Alcotest.check_raises "peek_min_exn"
-    (Invalid_argument "Event_queue.peek_min_exn: empty queue") (fun () ->
-      ignore (Sim.Event_queue.peek_min_exn q : int));
-  Alcotest.check_raises "pop_min_exn"
-    (Invalid_argument "Event_queue.pop_min_exn: empty queue") (fun () ->
-      ignore (Sim.Event_queue.pop_min_exn q : int));
-  (* A drained-then-refilled queue must behave like a fresh one. *)
-  Sim.Event_queue.add q 7;
-  Alcotest.(check int) "peek_min_exn" 7 (Sim.Event_queue.peek_min_exn q);
-  Alcotest.(check int) "pop_min_exn" 7 (Sim.Event_queue.pop_min_exn q);
-  Alcotest.check_raises "pop_min_exn after drain"
-    (Invalid_argument "Event_queue.pop_min_exn: empty queue") (fun () ->
-      ignore (Sim.Event_queue.pop_min_exn q : int))
-
 let test_basic_order () =
-  let q = Sim.Event_queue.of_list ~cmp:compare [ 5; 3; 9; 1; 7; 3; 0; -2 ] in
+  let q = of_list ~cmp:compare [ 5; 3; 9; 1; 7; 3; 0; -2 ] in
   Alcotest.(check int) "length" 8 (Sim.Event_queue.length q);
   Alcotest.(check (option int)) "peek" (Some (-2)) (Sim.Event_queue.peek_min q);
-  Alcotest.(check (list int))
-    "sorted"
-    [ -2; 0; 1; 3; 3; 5; 7; 9 ]
-    (Sim.Event_queue.drain_sorted q);
+  Alcotest.(check (list int)) "sorted" [ -2; 0; 1; 3; 3; 5; 7; 9 ] (drain q);
   Alcotest.(check bool) "drained" true (Sim.Event_queue.is_empty q)
 
 let test_grows_from_tiny_capacity () =
-  let q = Sim.Event_queue.create ~capacity:1 ~cmp:compare () in
-  for i = 999 downto 0 do
-    Sim.Event_queue.add q i
-  done;
+  let q =
+    of_list ~capacity:1 ~cmp:compare (List.init 1000 (fun i -> 999 - i))
+  in
   Alcotest.(check int) "length" 1000 (Sim.Event_queue.length q);
   Alcotest.(check (list int))
-    "sorted after growth"
-    (List.init 1000 Fun.id)
-    (Sim.Event_queue.drain_sorted q)
+    "sorted after growth" (List.init 1000 Fun.id) (drain q)
 
 let test_ties_resolved_by_seq () =
-  let q =
-    Sim.Event_queue.of_list ~cmp [ (1.0, 0); (1.0, 1); (0.5, 2); (1.0, 3) ]
-  in
+  let q = of_list ~cmp [ (1.0, 0); (1.0, 1); (0.5, 2); (1.0, 3) ] in
   Alcotest.(check (list (pair (float 0.) int)))
     "fifo among equal times"
     [ (0.5, 2); (1.0, 0); (1.0, 1); (1.0, 3) ]
-    (Sim.Event_queue.drain_sorted q)
+    (drain q)
 
 (* Workload generator biased toward time collisions: times are drawn from
-   a small pool, seq is the element's index (unique), mirroring how the
-   engine numbers events. *)
+   a small pool, seq is the element's index (unique), mirroring how Netio
+   numbers its timers. *)
 let workload =
   QCheck.Gen.(
     list (int_bound 15) >|= fun times ->
@@ -73,76 +64,43 @@ let arbitrary_workload =
       String.concat ";"
         (List.map (fun (t, s) -> Printf.sprintf "(%g,%d)" t s) evs))
 
-let prop_drains_like_pairing_heap =
-  QCheck.Test.make ~name:"drains in Pairing_heap.to_sorted_list order"
-    ~count:500 arbitrary_workload (fun evs ->
-      Sim.Event_queue.drain_sorted (Sim.Event_queue.of_list ~cmp evs)
-      = Sim.Pairing_heap.to_sorted_list (Sim.Pairing_heap.of_list ~cmp evs))
+let prop_drains_like_model =
+  QCheck.Test.make ~name:"drains in sorted-model order" ~count:500
+    arbitrary_workload (fun evs -> drain (of_list ~cmp evs) = model evs)
 
-let prop_interleaved_matches_pairing_heap =
-  (* Random add/pop interleavings against the pairing heap as the model:
-     both structures must agree on every pop, not just on full drains. *)
-  QCheck.Test.make ~name:"interleaved add/pop matches pairing heap"
+let prop_interleaved_matches_model =
+  (* Random add/pop interleavings: heap and model must agree on every
+     pop, not just on full drains. *)
+  QCheck.Test.make ~name:"interleaved add/pop matches sorted model"
     ~count:300
     QCheck.(list (pair bool (int_bound 15)))
     (fun ops ->
       let q = Sim.Event_queue.create ~cmp () in
-      let h = ref (Sim.Pairing_heap.empty ~cmp) in
+      let pending = ref [] and seq = ref 0 in
       List.for_all
         (fun (is_add, t) ->
           if is_add then begin
-            let ev = (float_of_int t /. 4., Sim.Pairing_heap.size !h) in
+            let ev = (float_of_int t /. 4., !seq) in
+            incr seq;
             Sim.Event_queue.add q ev;
-            h := Sim.Pairing_heap.insert !h ev;
+            pending := model (ev :: !pending);
             true
           end
           else
-            match (Sim.Event_queue.pop_min q, Sim.Pairing_heap.pop_min !h) with
-            | None, None -> true
-            | Some x, Some (y, rest) ->
-                h := rest;
+            match (Sim.Event_queue.pop_min q, !pending) with
+            | None, [] -> true
+            | Some x, y :: rest ->
+                pending := rest;
                 x = y
-            | _ -> false)
-        ops)
-
-let prop_exn_interleaved_matches_pairing_heap =
-  (* Same model check as above, but through the non-allocating accessors:
-     [peek_min_exn]/[pop_min_exn] guarded by [is_empty] must agree with
-     the pairing heap on every operation, so the engine's hot path and
-     the option API are observationally the same queue. *)
-  QCheck.Test.make ~name:"exn accessors match pairing heap" ~count:300
-    QCheck.(list (pair bool (int_bound 15)))
-    (fun ops ->
-      let q = Sim.Event_queue.create ~cmp () in
-      let h = ref (Sim.Pairing_heap.empty ~cmp) in
-      List.for_all
-        (fun (is_add, t) ->
-          if is_add then begin
-            let ev = (float_of_int t /. 4., Sim.Pairing_heap.size !h) in
-            Sim.Event_queue.add q ev;
-            h := Sim.Pairing_heap.insert !h ev;
-            true
-          end
-          else if Sim.Event_queue.is_empty q then
-            Sim.Pairing_heap.pop_min !h = None
-          else
-            let peeked = Sim.Event_queue.peek_min_exn q in
-            let popped = Sim.Event_queue.pop_min_exn q in
-            match Sim.Pairing_heap.pop_min !h with
-            | None -> false
-            | Some (y, rest) ->
-                h := rest;
-                peeked = y && popped = y)
+            | Some _, [] | None, _ :: _ -> false)
         ops)
 
 let suite =
   [
     Alcotest.test_case "empty queue" `Quick test_empty;
-    Alcotest.test_case "exn accessors on empty" `Quick test_exn_on_empty;
     Alcotest.test_case "basic order" `Quick test_basic_order;
     Alcotest.test_case "grows in place" `Quick test_grows_from_tiny_capacity;
     Alcotest.test_case "seq tie-break" `Quick test_ties_resolved_by_seq;
-    QCheck_alcotest.to_alcotest prop_drains_like_pairing_heap;
-    QCheck_alcotest.to_alcotest prop_interleaved_matches_pairing_heap;
-    QCheck_alcotest.to_alcotest prop_exn_interleaved_matches_pairing_heap;
+    QCheck_alcotest.to_alcotest prop_drains_like_model;
+    QCheck_alcotest.to_alcotest prop_interleaved_matches_model;
   ]

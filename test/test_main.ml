@@ -2,7 +2,6 @@ let () =
   Alcotest.run "eventual-consensus"
     [
       ("prng", Test_prng.suite);
-      ("pairing-heap", Test_pairing_heap.suite);
       ("event-queue", Test_event_queue.suite);
       ("packed-queue", Test_packed_queue.suite);
       ("domain-pool", Test_domain_pool.suite);

@@ -1,108 +1,64 @@
-(* The thread-based real-time executor runs the very same protocol
-   records as the simulator.  Wall-clock timing is inherently noisy, so
-   these tests check safety exactly and liveness with generous margins. *)
+(* The wall-clock host runs the very same scenarios and protocol records
+   as the simulator.  Wall-clock timing is inherently noisy, so these
+   tests check safety exactly and liveness with generous margins. *)
 
-let cfg ?(n = 3) ?(delta = 0.02) ?(ts = 0.15) ?(duration = 3.0)
-    ?(pre_loss = 1.0) ?(seed = 7L) ?(faults = []) ?(record_trace = true) () =
-  {
-    Realtime.Threads_engine.n;
-    delta;
-    ts;
-    duration;
-    pre_loss;
-    seed;
-    faults;
-    record_trace;
-  }
+let scenario ?(n = 3) ?(ts = 0.15) ?(horizon = 3.0) ?(faults = Sim.Fault.none)
+    () =
+  Sim.Scenario.make ~name:"realtime" ~n ~ts ~delta:0.02 ~seed:7L ~horizon
+    ~network:(Sim.Network.eventually_synchronous ~pre_loss:1.0 ())
+    ~faults ~record_trace:true ()
 
-let proposals n = Array.init n (fun i -> 100 + i)
+let paxos (sc : Sim.Scenario.t) =
+  Dgl.Modified_paxos.protocol (Dgl.Config.make ~n:sc.n ~delta:sc.delta ())
 
-let check_consensus ~what ~proposals:props
-    (r : Realtime.Threads_engine.result) =
-  Alcotest.(check bool) (what ^ ": no violation") false r.agreement_violation;
-  let values =
-    Array.to_list r.decisions |> List.filter_map (Option.map snd)
-  in
-  Alcotest.(check int)
-    (what ^ ": everyone decided")
-    (Array.length r.decisions)
-    (List.length values);
-  (match values with
-  | [] -> Alcotest.fail (what ^ ": no decisions")
-  | v :: rest ->
-      List.iter (fun v' -> Alcotest.(check int) (what ^ ": agree") v v') rest;
-      Alcotest.(check bool)
-        (what ^ ": validity")
-        true
-        (Array.exists (( = ) v) props));
-  ()
-
-let test_modified_paxos_realtime () =
-  let c = cfg () in
-  let props = proposals c.Realtime.Threads_engine.n in
-  let dgl_cfg =
-    Dgl.Config.make ~n:c.Realtime.Threads_engine.n
-      ~delta:c.Realtime.Threads_engine.delta ()
-  in
-  let r =
-    Realtime.Threads_engine.run c ~proposals:props
-      (Dgl.Modified_paxos.protocol dgl_cfg)
-  in
-  check_consensus ~what:"modified paxos" ~proposals:props r;
-  (* messages were silenced before ts, so decisions come after it *)
-  Array.iter
-    (function
-      | Some (t, _) ->
-          Alcotest.(check bool) "decided after ts" true
-            (t >= c.Realtime.Threads_engine.ts)
-      | None -> ())
-    r.decisions;
+let check_consensus ~what r =
+  Alcotest.(check bool) (what ^ ": all decided, agreeing") true
+    (Sim.Engine.all_decided r);
   (* the wall-clock trace satisfies the same trace invariants the
-     simulator's traces do (no timer bounds: real scheduling jitters) *)
-  let report = Harness.Invariants.check ~proposals:props r.trace in
+     simulator's traces do (no timer bounds: real scheduling jitters);
+     with proposals from the scenario this includes validity *)
+  let report = Harness.Invariants.check_run r in
   Alcotest.(check bool)
-    (Format.asprintf "realtime trace invariants: %a" Harness.Invariants.pp
+    (Format.asprintf "%s: trace invariants: %a" what Harness.Invariants.pp
        report)
     true
-    (Harness.Invariants.ok report);
+    (Harness.Invariants.ok report)
+
+let test_modified_paxos_realtime () =
+  let sc = scenario () in
+  let r = Realtime.Host.run sc (paxos sc) in
+  check_consensus ~what:"modified paxos" r;
+  (* messages were silenced before ts, so decisions come after it *)
+  List.iter
+    (fun (_, t, _) ->
+      Alcotest.(check bool) "decided after ts" true (t >= sc.ts))
+    (Sim.Engine.decisions r);
   Alcotest.(check bool) "trace non-empty" true (Sim.Trace.length r.trace > 0);
   Alcotest.(check int) "metrics runs counter" 1
     (Sim.Registry.counter_total r.metrics "runs")
 
 let test_b_consensus_realtime () =
-  let c = cfg ~delta:0.02 () in
-  let props = proposals c.Realtime.Threads_engine.n in
+  let sc = scenario () in
   let r =
-    Realtime.Threads_engine.run c ~proposals:props
-      (Bconsensus.Modified_b_consensus.protocol
-         ~n:c.Realtime.Threads_engine.n ~delta:c.Realtime.Threads_engine.delta
+    Realtime.Host.run sc
+      (Bconsensus.Modified_b_consensus.protocol ~n:sc.n ~delta:sc.delta
          ~rho:0. ())
   in
-  check_consensus ~what:"b-consensus" ~proposals:props r
+  check_consensus ~what:"b-consensus" r
 
 let test_stable_from_start_is_fast () =
-  (* with ts = 0 the protocol should finish long before the deadline *)
-  let c = cfg ~ts:0. ~duration:3.0 ~pre_loss:0. () in
-  let props = proposals c.Realtime.Threads_engine.n in
-  let dgl_cfg =
-    Dgl.Config.make ~n:c.Realtime.Threads_engine.n
-      ~delta:c.Realtime.Threads_engine.delta ()
-  in
-  let r =
-    Realtime.Threads_engine.run c ~proposals:props
-      (Dgl.Modified_paxos.protocol dgl_cfg)
-  in
-  check_consensus ~what:"stable start" ~proposals:props r;
-  Alcotest.(check bool) "well under the deadline" true (r.elapsed < 2.0)
+  (* with ts = 0 the protocol should finish long before the horizon *)
+  let sc = scenario ~ts:0. () in
+  let r = Realtime.Host.run sc (paxos sc) in
+  check_consensus ~what:"stable start" r;
+  Alcotest.(check bool) "well under the horizon" true (r.end_time < 2.0)
 
 let test_smr_over_threads () =
-  (* the most complex protocol record in the repository, over real
-     threads: replicated logs must converge *)
-  let c = cfg ~n:3 ~delta:0.02 ~ts:0.1 ~duration:4.0 () in
-  let n = c.Realtime.Threads_engine.n in
-  let dgl_cfg = Dgl.Config.make ~n ~delta:c.Realtime.Threads_engine.delta () in
+  (* the most complex protocol record in the repository, on the wall
+     clock: replicated logs must converge *)
+  let sc = scenario ~ts:0.1 ~horizon:4.0 () in
   let workloads =
-    Array.init n (fun p ->
+    Array.init sc.n (fun p ->
         if p <> 1 then []
         else
           List.init 3 (fun k ->
@@ -110,68 +66,53 @@ let test_smr_over_threads () =
                 Smr.Command.make ~id:k (Smr.Command.Add (k + 1)) )))
   in
   let r =
-    Realtime.Threads_engine.run c ~proposals:(proposals n)
-      (Smr.Multi_paxos.protocol dgl_cfg ~workloads)
+    Realtime.Host.run sc
+      (Smr.Multi_paxos.protocol
+         (Dgl.Config.make ~n:sc.n ~delta:sc.delta ())
+         ~workloads)
   in
-  Alcotest.(check bool) "no log divergence" false r.agreement_violation;
-  Array.iteri
-    (fun p d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "replica %d converged" p)
-        true (d <> None))
-    r.decisions
+  Alcotest.(check bool) "every log converged, none diverged" true
+    (Sim.Engine.all_decided r)
 
 let test_crash_restart_over_threads () =
   (* a process crashes mid-chaos and restarts after stabilization: it
      must rebuild from stable storage and still decide *)
-  let faults =
-    [
-      Realtime.Threads_engine.Crash (0.05, 2);
-      Realtime.Threads_engine.Restart (0.4, 2);
-    ]
+  let sc =
+    scenario ~horizon:4.0
+      ~faults:(Sim.Fault.crash_then_restart ~crash_at:0.05 ~restart_at:0.4 2)
+      ()
   in
-  let c = cfg ~ts:0.15 ~duration:4.0 ~faults () in
-  let props = proposals c.Realtime.Threads_engine.n in
-  let dgl_cfg =
-    Dgl.Config.make ~n:c.Realtime.Threads_engine.n
-      ~delta:c.Realtime.Threads_engine.delta ()
-  in
-  let r =
-    Realtime.Threads_engine.run c ~proposals:props
-      (Dgl.Modified_paxos.protocol dgl_cfg)
-  in
-  check_consensus ~what:"crash+restart" ~proposals:props r;
-  (match r.decisions.(2) with
-  | Some (t, _) ->
+  let r = Realtime.Host.run sc (paxos sc) in
+  check_consensus ~what:"crash+restart" r;
+  match r.decision_times.(2) with
+  | Some t ->
       Alcotest.(check bool) "restarted process decided after its restart"
         true (t >= 0.4)
-  | None -> Alcotest.fail "restarted process never decided")
+  | None -> Alcotest.fail "restarted process never decided"
+
+(* One scenario value, two runtimes: the simulator and the wall-clock
+   host must both reach agreement on it with a clean trace. *)
+let test_one_scenario_both_runtimes () =
+  let sc = scenario () in
+  check_consensus ~what:"engine" (Sim.Engine.run sc (paxos sc));
+  check_consensus ~what:"host" (Realtime.Host.run sc (paxos sc))
 
 let test_config_validation () =
-  let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
-  let c = cfg () in
-  let props = proposals 3 in
-  let proto = Dgl.Modified_paxos.protocol (Dgl.Config.make ~n:3 ~delta:0.02 ()) in
+  let sc = scenario () in
+  let proto = paxos sc in
+  let rejects bad =
+    match Realtime.Host.run bad proto with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "rho > 0" true (rejects { sc with rho = 0.01 });
   Alcotest.(check bool) "n=0" true
-    (bad (fun () ->
-         Realtime.Threads_engine.run
-           { c with Realtime.Threads_engine.n = 0 }
-           ~proposals:props proto));
+    (rejects { sc with n = 0; proposals = [||] });
   Alcotest.(check bool) "proposal arity" true
-    (bad (fun () ->
-         Realtime.Threads_engine.run c ~proposals:[| 1 |] proto));
-  Alcotest.(check bool) "bad loss" true
-    (bad (fun () ->
-         Realtime.Threads_engine.run
-           { c with Realtime.Threads_engine.pre_loss = 2.0 }
-           ~proposals:props proto));
-  Alcotest.(check bool) "bad fault spec" true
-    (bad (fun () ->
-         Realtime.Threads_engine.run
-           { c with
-             Realtime.Threads_engine.faults =
-               [ Realtime.Threads_engine.Crash (0.1, 99) ] }
-           ~proposals:props proto))
+    (rejects { sc with proposals = [| 1 |] });
+  Alcotest.(check bool) "bad fault process" true
+    (rejects
+       { sc with faults = Sim.Fault.make [ Sim.Fault.crash ~at:0.1 99 ] })
 
 let suite =
   [
@@ -184,5 +125,7 @@ let suite =
     Alcotest.test_case "smr over threads" `Slow test_smr_over_threads;
     Alcotest.test_case "crash+restart over threads" `Slow
       test_crash_restart_over_threads;
+    Alcotest.test_case "one scenario, both runtimes" `Slow
+      test_one_scenario_both_runtimes;
     Alcotest.test_case "config validation" `Quick test_config_validation;
   ]

@@ -172,6 +172,24 @@ let test_batching_counts () =
         true
         (batches > 0 && batches < 1_000))
 
+(* Netio peeks its earliest timer on every step to size the select
+   timeout.  A timer armed after such a peek, with an earlier deadline,
+   must still fire first — a queue whose floor advances on peek cannot
+   hold it at all. *)
+let test_netio_timer_order () =
+  let loop = Realtime.Netio.create () in
+  let fired = ref [] in
+  Realtime.Netio.after loop 0.05 (fun () -> fired := "50 ms" :: !fired);
+  Realtime.Netio.step loop 0.;
+  Realtime.Netio.after loop 0.005 (fun () -> fired := "5 ms" :: !fired);
+  let give_up = Realtime.Netio.now loop +. 2.0 in
+  while List.length !fired < 2 && Realtime.Netio.now loop < give_up do
+    Realtime.Netio.step loop 0.1
+  done;
+  Realtime.Netio.shutdown loop;
+  Alcotest.(check (list string))
+    "fired in deadline order" [ "5 ms"; "50 ms" ] (List.rev !fired)
+
 let suite =
   [
     Alcotest.test_case "kv semantics over the loopback cluster" `Quick
@@ -182,4 +200,6 @@ let suite =
       test_client_batch_rejected;
     Alcotest.test_case "batching folds commands into decrees" `Quick
       test_batching_counts;
+    Alcotest.test_case "netio timers fire in deadline order" `Quick
+      test_netio_timer_order;
   ]
