@@ -1,5 +1,8 @@
 (* Single-threaded Unix.select event loop: nonblocking TCP with
    buffered reads/writes, one-shot closure timers, and the wall clock.
+   Output is batched: [send] only appends to the connection's buffer and
+   [step] issues at most one write per connection per pass, so every
+   frame a pass produces for one peer shares a syscall.
    lib/realtime is the only layer allowed to read real time (lint R1);
    everything above gets time through [now]/[wall]. *)
 
@@ -16,8 +19,9 @@ type conn = {
          -1 while it is empty.  Drip-feeding bytes without ever completing
          a frame does NOT reset it — only consuming everything does — so
          it bounds how long a partial frame may sit in the buffer. *)
-  outq : Bytes.t Queue.t;
-  mutable out_off : int;  (* offset into the head of [outq] *)
+  mutable outbuf : Bytes.t;  (* allocated on first send *)
+  mutable out_off : int;  (* first unwritten byte *)
+  mutable out_len : int;  (* end of queued output *)
   mutable on_data : conn -> unit;
   mutable on_close : conn -> unit;
 }
@@ -137,8 +141,9 @@ let make_conn t fd ~connected =
       in_off = 0;
       in_len = 0;
       stale_since = -1.;
-      outq = Queue.create ();
+      outbuf = Bytes.empty;
       out_off = 0;
+      out_len = 0;
       on_data = noop_data;
       on_close = noop_close;
     }
@@ -149,14 +154,6 @@ let make_conn t fd ~connected =
 let set_callbacks c ~on_data ~on_close =
   c.on_data <- on_data;
   c.on_close <- on_close
-
-let close t c =
-  if not c.closing then begin
-    c.closing <- true;
-    t.conns <- List.filter (fun o -> o.cid <> c.cid) t.conns;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
-    c.on_close c
-  end
 
 let resolve host =
   try Unix.inet_addr_of_string host
@@ -195,43 +192,63 @@ let connect t ~host ~port =
 
 (* ---- buffered output ---- *)
 
-let flush_out t c =
-  if c.connected && not c.closing then
-    try
-      let progress = ref true in
-      while !progress && not (Queue.is_empty c.outq) do
-        let chunk = Queue.peek c.outq in
-        let len = Bytes.length chunk - c.out_off in
-        let n = Unix.write c.fd chunk c.out_off len in
-        if n = len then begin
-          ignore (Queue.pop c.outq);
-          c.out_off <- 0
-        end
-        else begin
-          c.out_off <- c.out_off + n;
-          progress := false
-        end
-      done
-    with
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | Unix.Unix_error _ -> close t c
+let pending_out c = c.out_off < c.out_len
 
-let send t c bytes =
-  if not c.closing then begin
-    Queue.add bytes c.outq;
-    flush_out t c
+(* One write of everything queued.  A short write keeps the rest for the
+   next pass; raises [Unix_error] like [Unix.write]. *)
+let write_out t c =
+  count t "netio_writes";
+  let n = Unix.write c.fd c.outbuf c.out_off (c.out_len - c.out_off) in
+  c.out_off <- c.out_off + n;
+  if c.out_off = c.out_len then begin
+    c.out_off <- 0;
+    c.out_len <- 0;
+    (* give a burst's buffer back once it has drained *)
+    if Bytes.length c.outbuf > 1 lsl 20 then c.outbuf <- Bytes.empty
   end
 
-let send_buffer t c buf =
-  if Buffer.length buf > 0 then send t c (Buffer.to_bytes buf)
+let close t c =
+  if not c.closing then begin
+    c.closing <- true;
+    (* best effort: what fits in the socket now is delivered, the rest
+       is dropped *)
+    (if c.connected && pending_out c then
+       try write_out t c with Unix.Unix_error _ -> ());
+    t.conns <- List.filter (fun o -> o.cid <> c.cid) t.conns;
+    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    c.on_close c
+  end
 
-(* Queue without flushing: lets a caller coalesce many small frames
-   into one write.  Pair with [flush] once the burst is assembled. *)
-let enqueue c bytes = if not c.closing then Queue.add bytes c.outq
+let flush_out t c =
+  try write_out t c with
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | Unix.Unix_error _ ->
+      (* the peer is gone: nothing queued can be delivered *)
+      c.out_off <- 0;
+      c.out_len <- 0;
+      close t c
 
-let flush t c = if not (Queue.is_empty c.outq) then flush_out t c
-
-let pending_out c = not (Queue.is_empty c.outq)
+let send _ c bytes =
+  if not c.closing then begin
+    let len = Bytes.length bytes in
+    let cap = Bytes.length c.outbuf in
+    if c.out_len + len > cap then begin
+      let live = c.out_len - c.out_off in
+      (* slide the unwritten bytes to the front only when at least as
+         many were written already, else grow: either way each byte is
+         copied O(1) times however deep the backlog *)
+      let dst =
+        if live + len <= cap && c.out_off >= live then c.outbuf
+        else Bytes.create (max (max 4096 (2 * cap)) (live + len))
+      in
+      Bytes.blit c.outbuf c.out_off dst 0 live;
+      c.outbuf <- dst;
+      c.out_off <- 0;
+      c.out_len <- live
+    end;
+    Bytes.blit bytes 0 c.outbuf c.out_len len;
+    c.out_len <- c.out_len + len
+  end
 
 let closing c = c.closing
 
@@ -284,15 +301,12 @@ let read_ready t c =
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error _ -> close t c
 
-let write_ready t c =
-  if not c.connected then begin
-    match Unix.getsockopt_error c.fd with
-    | None ->
-        c.connected <- true;
-        flush_out t c
-    | Some _ -> close t c
-  end
-  else flush_out t c
+(* A pending connect became writable: it either completed (output
+   queued meanwhile goes out on the next pass) or failed. *)
+let connect_ready t c =
+  match Unix.getsockopt_error c.fd with
+  | None -> c.connected <- true
+  | Some _ -> close t c
 
 (* ---- the loop ---- *)
 
@@ -310,8 +324,14 @@ let run_due_timers t =
     | Some _ | None -> ()
   done
 
+let flush_all t =
+  List.iter
+    (fun c -> if c.connected && (not c.closing) && pending_out c then flush_out t c)
+    t.conns
+
 let step t timeout =
   run_due_timers t;
+  flush_all t;
   let timeout =
     match Sim.Event_queue.peek_min t.timers with
     | Some (due, _, _) -> Float.min timeout (Float.max 0. (due -. now t))
@@ -370,7 +390,9 @@ let step t timeout =
       (* snapshot: callbacks may open or close connections *)
       let snapshot = t.conns in
       List.iter
-        (fun c -> if (not c.closing) && List.memq c.fd writable then write_ready t c)
+        (fun c ->
+          if (not c.closing) && (not c.connected) && List.memq c.fd writable
+          then connect_ready t c)
         snapshot;
       List.iter
         (fun c -> if (not c.closing) && List.memq c.fd readable then read_ready t c)

@@ -2,11 +2,14 @@
 
     A {!t} is a single-threaded [Unix.select] loop owning a set of
     nonblocking TCP connections, listeners, and one-shot closure
-    timers.  Reads and writes are fully buffered: {!send} never blocks
-    (bytes queue until the socket is writable), and incoming bytes
-    accumulate in a per-connection buffer that the [on_data] callback
-    consumes incrementally via {!input}/{!consume} — the natural shape
-    for {!Smr.Wire}-framed traffic.
+    timers.  Incoming bytes accumulate in a per-connection buffer that
+    the [on_data] callback consumes incrementally via {!input}/{!consume}
+    — the natural shape for {!Smr.Wire}-framed traffic.
+
+    {b Write policy.}  {!send} only appends to the connection's output
+    buffer; each {!step} then writes at most once per connection, so
+    every frame one pass produces for a peer shares a [write].  A short
+    write keeps the rest queued for the next pass.
 
     This module is part of [lib/realtime], the only layer permitted to
     read the wall clock (lint R1); code above it takes time from
@@ -44,10 +47,10 @@ val set_limits : t -> ?partial_timeout:float -> ?max_input:int -> unit -> unit
     non-positive timeout or bound. *)
 
 val set_registry : t -> Sim.Registry.t -> unit
-(** Attach a metrics registry; the loop increments [netio_*] counters
-    ([netio_partial_timeouts], [netio_input_overflows],
-    [netio_accept_backoffs]) as it drops connections or backs off a
-    listener. *)
+(** Attach a metrics registry; the loop increments [netio_*] counters:
+    [netio_writes] per [write] syscall, and [netio_partial_timeouts],
+    [netio_input_overflows], [netio_accept_backoffs] as it drops
+    connections or backs off a listener. *)
 
 val listen :
   t -> host:string -> port:int -> on_accept:(conn -> unit) -> int
@@ -68,17 +71,9 @@ val conn_id : conn -> int
 (** Loop-unique id, for keying tables without physical equality. *)
 
 val send : t -> conn -> Bytes.t -> unit
-(** Queue bytes for writing; attempts an eager write when possible. *)
-
-val send_buffer : t -> conn -> Buffer.t -> unit
-(** [send] the current contents of a buffer (which is not cleared). *)
-
-val enqueue : conn -> Bytes.t -> unit
-(** Queue bytes without flushing, so many small frames coalesce into one
-    [write].  Call {!flush} once the burst is assembled. *)
-
-val flush : t -> conn -> unit
-(** Flush any queued output now (no-op when the queue is empty). *)
+(** Append bytes to the connection's output buffer (copied; the caller
+    may reuse [bytes]).  Never writes: the next {!step} does.  A no-op
+    once the connection is closing. *)
 
 val closing : conn -> bool
 (** True once the connection has been closed (callbacks may race a
@@ -92,7 +87,8 @@ val consume : conn -> int -> unit
 (** Discard [n] bytes from the front of the input region. *)
 
 val close : t -> conn -> unit
-(** Close now; pending unwritten output is dropped. *)
+(** Close now.  Queued output gets one best-effort nonblocking write
+    first; whatever the socket does not take is dropped. *)
 
 val after : t -> float -> (unit -> unit) -> unit
 (** One-shot timer: run the closure [delay] seconds from now. *)
@@ -101,8 +97,10 @@ val every : t -> float -> (unit -> unit) -> unit
 (** Periodic timer (re-arms itself after each firing). *)
 
 val step : t -> float -> unit
-(** One select iteration with the given timeout ceiling: fire due
-    timers, poll readiness, dispatch callbacks. *)
+(** One loop pass with the given timeout ceiling: fire due timers, write
+    each connection's queued output (one [write] at most), [select],
+    dispatch callbacks, fire the timers that came due meanwhile.  Their
+    output goes out at the start of the next pass. *)
 
 val run : t -> unit
 (** [step] until {!stop}. *)

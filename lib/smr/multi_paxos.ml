@@ -83,6 +83,8 @@ let register st = List.fold_left Command.apply 0 (applied st)
 
 let pending_count st = List.length st.pending
 
+let tally_count st = IBmap.cardinal st.p2b
+
 let chosen_at st instance = Imap.find_opt instance st.chosen
 
 (* ------------------------------------------------------------------ *)
@@ -171,6 +173,13 @@ let maybe_decide ctx st =
     else st
   end
 
+(* Remove every (instance, ballot) tally of one instance: a range of
+   adjacent keys, found by seeking to (instance, min_int). *)
+let drop_tallies instance p2b =
+  IBmap.to_seq_from (instance, min_int) p2b
+  |> Seq.take_while (fun ((i, _), _) -> i = instance)
+  |> Seq.fold_left (fun m (key, _) -> IBmap.remove key m) p2b
+
 let learn_chosen ctx st instance cmd =
   if Imap.mem instance st.chosen then st
   else begin
@@ -188,6 +197,7 @@ let learn_chosen ctx st instance cmd =
           (if Command.is_noop cmd then st.chosen_ids
            else Iset.add cmd.Command.id st.chosen_ids);
         ivotes = Imap.remove instance st.ivotes;
+        p2b = drop_tallies instance st.p2b;
         pending =
           List.filter
             (fun c -> c.Command.id <> cmd.Command.id)
@@ -322,12 +332,11 @@ let my_1b st =
     Imap.fold
       (fun i v acc -> (i, v) :: acc)
       st.ivotes
-      (Imap.fold
-         (fun i cmd acc ->
-           if i >= st.chosen_upto then
-             (i, { Smr_messages.vbal = chosen_vbal; vcmd = cmd }) :: acc
-           else acc)
-         st.chosen [])
+      (Seq.fold_left
+         (fun acc (i, cmd) ->
+           (i, { Smr_messages.vbal = chosen_vbal; vcmd = cmd }) :: acc)
+         []
+         (Imap.to_seq_from st.chosen_upto st.chosen))
   in
   Smr_messages.M1b { mbal = st.mbal; votes; chosen_upto = st.chosen_upto }
 
@@ -364,18 +373,23 @@ let handle_2a ctx st b instance cmd =
   end
   else st
 
+(* A 2b for a chosen instance could only re-learn it; ignoring it keeps
+   learn_chosen's tally cleanup final. *)
 let handle_2b ctx st ~src b instance cmd =
-  let key = (instance, b) in
-  let who, c =
-    match IBmap.find_opt key st.p2b with
-    | Some (q, c) -> (q, c)
-    | None -> (Quorum.create ~n:(n_of st), cmd)
-  in
-  if not (Command.equal c cmd) then st
+  if Imap.mem instance st.chosen then st
   else begin
-    let who = Quorum.add who src in
-    let st = { st with p2b = IBmap.add key (who, c) st.p2b } in
-    if Quorum.reached who then learn_chosen ctx st instance cmd else st
+    let key = (instance, b) in
+    let who, c =
+      match IBmap.find_opt key st.p2b with
+      | Some (q, c) -> (q, c)
+      | None -> (Quorum.create ~n:(n_of st), cmd)
+    in
+    if not (Command.equal c cmd) then st
+    else begin
+      let who = Quorum.add who src in
+      let st = { st with p2b = IBmap.add key (who, c) st.p2b } in
+      if Quorum.reached who then learn_chosen ctx st instance cmd else st
+    end
   end
 
 let handle_forward ctx st cmd =
@@ -479,10 +493,14 @@ let on_timer_impl ctx st ~tag =
        nothing was chosen since the timer was armed.  Otherwise the
        current leadership is doing its job — re-arm and stand down.
        Safety never depends on when Start Phase 1 runs. *)
+    let unchosen_from m =
+      (* everything below chosen_upto is chosen: skip that prefix *)
+      Seq.exists
+        (fun (i, _) -> not (Imap.mem i st.chosen))
+        (Imap.to_seq_from st.chosen_upto m)
+    in
     let work_outstanding =
-      st.pending <> []
-      || Imap.exists (fun i _ -> not (Imap.mem i st.chosen)) st.ivotes
-      || Imap.exists (fun i _ -> not (Imap.mem i st.chosen)) st.proposed
+      st.pending <> [] || unchosen_from st.ivotes || unchosen_from st.proposed
     in
     let progressed = st.chosen_upto > st.progress_mark in
     if (not st.progress_gate) || (work_outstanding && not progressed) then
@@ -674,3 +692,18 @@ let protocol ?(progress_gate = true) cfg ~workloads =
             st);
     msg_payload = Smr_messages.payload ~n:cfg.Dgl.Config.n;
   }
+
+module Private = struct
+  let with_inflight st ~proposed ~pending ~progress_mark =
+    {
+      st with
+      proposed = Imap.of_seq (List.to_seq proposed);
+      proposed_ids =
+        List.fold_left
+          (fun acc (_, c) ->
+            if Command.is_noop c then acc else Iset.add c.Command.id acc)
+          Iset.empty proposed;
+      pending;
+      progress_mark;
+    }
+end

@@ -72,6 +72,11 @@ val register : state -> int
 
 val pending_count : state -> int
 
+(** Live 2b tallies, one per (instance, ballot) still being counted.
+    Tallies of an instance are dropped once it is chosen, so this stays
+    at the in-flight size however long the log grows. *)
+val tally_count : state -> int
+
 (** [chosen_at st i] — the command chosen at instance [i], if any (not
     limited to the contiguous prefix).  The socket replica uses it to
     apply instances incrementally as [chosen_upto] advances. *)
@@ -102,3 +107,19 @@ val restore :
   (Smr_messages.t, state) Sim.Runtime.ctx ->
   essence ->
   state
+
+(**/**)
+
+module Private : sig
+  (** Test hooks — not part of the public surface. *)
+
+  val with_inflight :
+    state ->
+    proposed:(int * Command.t) list ->
+    pending:Command.t list ->
+    progress_mark:int ->
+    state
+  (** Replace the leader's in-flight proposals, the pending queue and
+      the session timer's progress mark, so tests can build states that
+      transitions reach only after long runs. *)
+end

@@ -107,6 +107,14 @@ let stats t =
         (Hashtbl.length t.outstanding)
         (Hashtbl.length t.reply_map)
 
+(* Command ids must never repeat across incarnations: a reused id is
+   dropped as already chosen or answered from the exactly-once cache
+   without being applied.  The snapshot lags what peers chose, so the
+   counter starts at the boot time in microseconds instead — above every
+   id an earlier incarnation issued unless it averaged more than one
+   command per microsecond of its life. *)
+let boot_uid_base () = Int.of_float (Netio.wall () *. 1e6)
+
 let fresh_uid t =
   let u = t.next_uid in
   t.next_uid <- u + 1;
@@ -141,17 +149,29 @@ let rec ensure_peer t j =
           | exception _ ->
               Netio.after t.io 0.2 (fun () -> ensure_peer t j))
 
-let send_peer t j msg =
+let send_frame t j frame =
   ensure_peer t j;
   match t.peers.(j) with
-  | Some c -> Netio.send t.io c (Wire.to_bytes (Wire.Peer msg))
+  | Some c -> Netio.send t.io c frame
   | None -> Sim.Registry.inc ~proc:t.cfg.id t.registry "serve_dropped_sends"
+
+let send_peer t j msg = send_frame t j (Wire.to_bytes (Wire.Peer msg))
 
 (* ---- protocol driving ---- *)
 
 let deliver t dst msg =
   if dst = t.cfg.id then Queue.add (t.cfg.id, msg) t.selfq
   else send_peer t dst msg
+
+(* one encode for all peers: Netio.send copies the frame *)
+let broadcast t msg =
+  Queue.add (t.cfg.id, msg) t.selfq;
+  if t.n > 1 then begin
+    let frame = Wire.to_bytes (Wire.Peer msg) in
+    for j = 0 to t.n - 1 do
+      if j <> t.cfg.id then send_frame t j frame
+    done
+  end
 
 let rec make_ctx t : (Smr_messages.t, Multi_paxos.state) Sim.Runtime.ctx =
   {
@@ -160,11 +180,7 @@ let rec make_ctx t : (Smr_messages.t, Multi_paxos.state) Sim.Runtime.ctx =
     proposal = 0;
     local_time = (fun () -> Netio.now t.io);
     send = (fun ~dst msg -> deliver t dst msg);
-    broadcast =
-      (fun msg ->
-        for j = 0 to t.n - 1 do
-          deliver t j msg
-        done);
+    broadcast = broadcast t;
     set_timer =
       (fun ~local_delay ~tag ->
         Netio.after t.io local_delay (fun () ->
@@ -198,8 +214,6 @@ and apply_chosen t =
   | None -> ()
   | Some st ->
       let upto = Multi_paxos.chosen_upto st in
-      (* coalesce the whole batch's responses per client into one write *)
-      let touched = Hashtbl.create 8 in
       while t.applied_upto < upto do
         (match Multi_paxos.chosen_at st t.applied_upto with
         | None -> ()
@@ -221,19 +235,18 @@ and apply_chosen t =
                       "serve_commit_latency_delta" (lat /. t.cfg.delta);
                     Sim.Registry.inc ~proc:t.cfg.id t.registry
                       "serve_committed";
-                    (match Hashtbl.find_opt t.clients cid with
+                    (* Netio coalesces the batch's responses to one
+                       client into a single write *)
+                    match Hashtbl.find_opt t.clients cid with
                     | Some conn ->
-                        Netio.enqueue conn
+                        Netio.send t.io conn
                           (Wire.to_bytes
                              (Wire.Response
-                                { seq; reply = Wire.reply_of_kv r }));
-                        Hashtbl.replace touched cid conn
-                    | None -> ()))
+                                { seq; reply = Wire.reply_of_kv r }))
+                    | None -> ())
               replies);
         t.applied_upto <- t.applied_upto + 1
-      done;
-      (* lint: allow R3 — flush order across distinct clients is moot *)
-      Hashtbl.iter (fun _ conn -> Netio.flush t.io conn) touched
+      done
 
 (* Fold the client backlog into decrees, up to the pipelining window. *)
 and maybe_inject t =
@@ -459,7 +472,7 @@ let create cfg =
       reply_map = Hashtbl.create 1024;
       outstanding = Hashtbl.create 64;
       inflight = 0;
-      next_uid = 0;
+      next_uid = boot_uid_base ();
       applied_upto = 0;
       st = None;
       ctx = None;

@@ -13,10 +13,13 @@ let crc_table =
       !c)
 
 let crc32 bytes off len =
+  if off < 0 || len < 0 || off > Bytes.length bytes - len then
+    invalid_arg "Wire.crc32";
   let c = ref 0xffffffff in
   for i = off to off + len - 1 do
     c :=
-      crc_table.((!c lxor Char.code (Bytes.get bytes i)) land 0xff)
+      Array.unsafe_get crc_table
+        ((!c lxor Char.code (Bytes.unsafe_get bytes i)) land 0xff)
       lxor (!c lsr 8)
   done;
   !c lxor 0xffffffff
@@ -78,21 +81,40 @@ let tag_of = function
   | Request _ -> tag_request
   | Response _ -> tag_response
 
-(* ---- payload writers (big-endian throughout) ---- *)
+(* ---- payload writers (big-endian throughout) ----
 
-let w_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let w_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
-let w_s64 b v = Buffer.add_int64_be b (Int64.of_int v)
+   A frame is sized first, then written into one exact allocation: the
+   payload goes straight into the frame and the CRC is computed in
+   place. *)
 
-let w_string b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
+type writer = { wbuf : Bytes.t; mutable wpos : int }
 
-let w_opt_string b = function
-  | None -> w_u8 b 0
+let w_u8 w v =
+  Bytes.set_uint8 w.wbuf w.wpos (v land 0xff);
+  w.wpos <- w.wpos + 1
+
+let w_u32 w v =
+  Bytes.set_int32_be w.wbuf w.wpos (Int32.of_int v);
+  w.wpos <- w.wpos + 4
+
+let w_s64 w v =
+  Bytes.set_int64_be w.wbuf w.wpos (Int64.of_int v);
+  w.wpos <- w.wpos + 8
+
+let w_string w s =
+  w_u32 w (String.length s);
+  Bytes.blit_string s 0 w.wbuf w.wpos (String.length s);
+  w.wpos <- w.wpos + String.length s
+
+let w_opt_string w = function
+  | None -> w_u8 w 0
   | Some s ->
-      w_u8 b 1;
-      w_string b s
+      w_u8 w 1;
+      w_string w s
+
+let size_string s = 4 + String.length s
+
+let size_opt_string = function None -> 1 | Some s -> 1 + size_string s
 
 (* command opcodes *)
 let op_noop = 0x00
@@ -103,96 +125,130 @@ let op_put = 0x04
 let op_cas = 0x05
 let op_batch = 0x06
 
-let rec w_cmd b (c : Command.t) =
-  w_s64 b c.id;
+let rec size_cmd (c : Command.t) =
+  9
+  +
   match c.op with
-  | Command.Noop -> w_u8 b op_noop
-  | Command.Set v ->
-      w_u8 b op_set;
-      w_s64 b v
-  | Command.Add d ->
-      w_u8 b op_add;
-      w_s64 b d
-  | Command.Kv_get k ->
-      w_u8 b op_get;
-      w_string b k
-  | Command.Kv_put { key; value } ->
-      w_u8 b op_put;
-      w_string b key;
-      w_string b value
+  | Command.Noop -> 0
+  | Command.Set _ | Command.Add _ -> 8
+  | Command.Kv_get k -> size_string k
+  | Command.Kv_put { key; value } -> size_string key + size_string value
   | Command.Kv_cas { key; expect; set } ->
-      w_u8 b op_cas;
-      w_string b key;
-      w_opt_string b expect;
-      w_string b set
+      size_string key + size_opt_string expect + size_string set
   | Command.Batch cmds ->
-      w_u8 b op_batch;
-      w_u32 b (List.length cmds);
-      List.iter (w_cmd b) cmds
+      List.fold_left (fun acc c -> acc + size_cmd c) 4 cmds
 
-let w_reply b = function
-  | R_stored -> w_u8 b 0x00
+let rec w_cmd w (c : Command.t) =
+  w_s64 w c.id;
+  match c.op with
+  | Command.Noop -> w_u8 w op_noop
+  | Command.Set v ->
+      w_u8 w op_set;
+      w_s64 w v
+  | Command.Add d ->
+      w_u8 w op_add;
+      w_s64 w d
+  | Command.Kv_get k ->
+      w_u8 w op_get;
+      w_string w k
+  | Command.Kv_put { key; value } ->
+      w_u8 w op_put;
+      w_string w key;
+      w_string w value
+  | Command.Kv_cas { key; expect; set } ->
+      w_u8 w op_cas;
+      w_string w key;
+      w_opt_string w expect;
+      w_string w set
+  | Command.Batch cmds ->
+      w_u8 w op_batch;
+      w_u32 w (List.length cmds);
+      List.iter (w_cmd w) cmds
+
+let size_reply = function
+  | R_stored -> 1
+  | R_value v -> 1 + size_opt_string v
+  | R_cas { actual; _ } -> 2 + size_opt_string actual
+  | R_redirect _ -> 9
+  | R_error msg -> 1 + size_string msg
+
+let w_reply w = function
+  | R_stored -> w_u8 w 0x00
   | R_value v ->
-      w_u8 b 0x01;
-      w_opt_string b v
+      w_u8 w 0x01;
+      w_opt_string w v
   | R_cas { ok; actual } ->
-      w_u8 b 0x02;
-      w_u8 b (if ok then 1 else 0);
-      w_opt_string b actual
+      w_u8 w 0x02;
+      w_u8 w (if ok then 1 else 0);
+      w_opt_string w actual
   | R_redirect { leader } ->
-      w_u8 b 0x03;
-      w_s64 b leader
+      w_u8 w 0x03;
+      w_s64 w leader
   | R_error msg ->
-      w_u8 b 0x04;
-      w_string b msg
+      w_u8 w 0x04;
+      w_string w msg
 
-let w_payload b = function
-  | Hello { sender } -> w_s64 b sender
-  | Peer (Smr_messages.M1a { mbal }) -> w_s64 b mbal
+let size_payload = function
+  | Hello _ -> 8
+  | Peer (Smr_messages.M1a _) -> 8
+  | Peer (Smr_messages.M1b { votes; _ }) ->
+      List.fold_left
+        (fun acc (_, (v : Smr_messages.ivote)) -> acc + 16 + size_cmd v.vcmd)
+        20 votes
+  | Peer (Smr_messages.M2a { cmd; _ }) | Peer (Smr_messages.M2b { cmd; _ }) ->
+      16 + size_cmd cmd
+  | Peer (Smr_messages.Forward { cmd }) -> size_cmd cmd
+  | Peer (Smr_messages.Chosen_digest _) -> 8
+  | Peer (Smr_messages.Chosen { cmd; _ }) -> 8 + size_cmd cmd
+  | Request { cmd; _ } -> 8 + size_cmd cmd
+  | Response { reply; _ } -> 8 + size_reply reply
+
+let w_payload w = function
+  | Hello { sender } -> w_s64 w sender
+  | Peer (Smr_messages.M1a { mbal }) -> w_s64 w mbal
   | Peer (Smr_messages.M1b { mbal; votes; chosen_upto }) ->
-      w_s64 b mbal;
-      w_s64 b chosen_upto;
-      w_u32 b (List.length votes);
+      w_s64 w mbal;
+      w_s64 w chosen_upto;
+      w_u32 w (List.length votes);
       List.iter
         (fun (i, (v : Smr_messages.ivote)) ->
-          w_s64 b i;
-          w_s64 b v.vbal;
-          w_cmd b v.vcmd)
+          w_s64 w i;
+          w_s64 w v.vbal;
+          w_cmd w v.vcmd)
         votes
   | Peer (Smr_messages.M2a { mbal; instance; cmd })
   | Peer (Smr_messages.M2b { mbal; instance; cmd }) ->
-      w_s64 b mbal;
-      w_s64 b instance;
-      w_cmd b cmd
-  | Peer (Smr_messages.Forward { cmd }) -> w_cmd b cmd
-  | Peer (Smr_messages.Chosen_digest { upto }) -> w_s64 b upto
+      w_s64 w mbal;
+      w_s64 w instance;
+      w_cmd w cmd
+  | Peer (Smr_messages.Forward { cmd }) -> w_cmd w cmd
+  | Peer (Smr_messages.Chosen_digest { upto }) -> w_s64 w upto
   | Peer (Smr_messages.Chosen { instance; cmd }) ->
-      w_s64 b instance;
-      w_cmd b cmd
+      w_s64 w instance;
+      w_cmd w cmd
   | Request { seq; cmd } ->
-      w_s64 b seq;
-      w_cmd b cmd
+      w_s64 w seq;
+      w_cmd w cmd
   | Response { seq; reply } ->
-      w_s64 b seq;
-      w_reply b reply
-
-let encode buf msg =
-  let payload = Buffer.create 64 in
-  w_payload payload msg;
-  let len = Buffer.length payload in
-  let body = Buffer.to_bytes payload in
-  Buffer.add_char buf 'E';
-  Buffer.add_char buf 'S';
-  w_u8 buf version;
-  w_u8 buf (tag_of msg);
-  w_u32 buf len;
-  w_u32 buf (crc32 body 0 len);
-  Buffer.add_bytes buf body
+      w_s64 w seq;
+      w_reply w reply
 
 let to_bytes msg =
-  let b = Buffer.create 64 in
-  encode b msg;
-  Buffer.to_bytes b
+  let len = size_payload msg in
+  let w = { wbuf = Bytes.create (header_len + len); wpos = 0 } in
+  Bytes.set w.wbuf 0 'E';
+  Bytes.set w.wbuf 1 'S';
+  Bytes.set_uint8 w.wbuf 2 version;
+  Bytes.set_uint8 w.wbuf 3 (tag_of msg);
+  w.wpos <- 4;
+  w_u32 w len;
+  w.wpos <- header_len;
+  w_payload w msg;
+  assert (w.wpos = header_len + len);
+  Bytes.set_int32_be w.wbuf 8 (Int32.of_int (crc32 w.wbuf header_len len));
+  w.wbuf
+
+let encode buf msg = Buffer.add_bytes buf (to_bytes msg)
 
 (* ---- payload readers ---- *)
 

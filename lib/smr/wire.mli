@@ -53,7 +53,7 @@ val encode : Buffer.t -> t -> unit
 (** Append one complete frame (header + payload) to [buf]. *)
 
 val to_bytes : t -> Bytes.t
-(** [encode] into a fresh buffer. *)
+(** One frame in a fresh, exactly sized buffer. *)
 
 val decode :
   Bytes.t ->

@@ -388,6 +388,186 @@ let prop_logs_converge =
       ||
       QCheck.Test.fail_report "a replica failed to converge by the horizon")
 
+(* --- Hand-driven cluster ---------------------------------------------------- *)
+
+(* Handlers run straight off one FIFO queue, with no clock and no timers
+   unless the test fires them: exact, fast, and able to reach log depths
+   an engine run would take minutes to. *)
+module Mp = Smr.Multi_paxos
+module Imap = Map.Make (Int)
+
+let capture_ctx ~n self outbox timers :
+    (Smr.Smr_messages.t, Mp.state) Sim.Runtime.ctx =
+  {
+    Sim.Runtime.self;
+    n;
+    proposal = 0;
+    local_time = (fun () -> 0.);
+    send = (fun ~dst m -> Queue.add (self, dst, m) outbox);
+    broadcast =
+      (fun m ->
+        for dst = 0 to n - 1 do
+          Queue.add (self, dst, m) outbox
+        done);
+    set_timer = (fun ~local_delay:_ ~tag -> timers := tag :: !timers);
+    persist = ignore;
+    decide = ignore;
+    has_decided = (fun () -> false);
+    rng = Sim.Prng.create (Int64.of_int self);
+    scratch = Sim.Scratch.create ();
+    note = ignore;
+    count = ignore;
+    oracle_time = (fun () -> 0.);
+  }
+
+(* Regression: 2b tallies used to accumulate for every instance ever
+   chosen.  Drive 10^4 instances through a stable leader, 16 in flight
+   at a time, and check no replica ever holds more tallies than that. *)
+let test_tallies_stay_in_flight () =
+  let n = 3 and in_flight = 16 and total = 10_000 in
+  let cfg = Dgl.Config.make ~n ~delta () in
+  let proto = Mp.protocol ~progress_gate:false cfg ~workloads:(Array.make n []) in
+  let outbox = Queue.create () in
+  let ctxs = Array.init n (fun p -> capture_ctx ~n p outbox (ref [])) in
+  let st = Array.map proto.Sim.Runtime.on_boot ctxs in
+  let most = ref 0 in
+  let pump () =
+    while not (Queue.is_empty outbox) do
+      let src, dst, m = Queue.pop outbox in
+      st.(dst) <- proto.Sim.Runtime.on_message ctxs.(dst) st.(dst) ~src m;
+      most := max !most (Mp.tally_count st.(dst))
+    done
+  in
+  (* replica 0's session timer opens phase 1; the 1b's make it lead *)
+  st.(0) <- proto.Sim.Runtime.on_timer ctxs.(0) st.(0) ~tag:0;
+  pump ();
+  Alcotest.(check bool) "replica 0 leads" true (Mp.leading st.(0));
+  let id = ref 0 in
+  while !id < total do
+    for _ = 1 to in_flight do
+      let cmd = Smr.Command.make ~id:!id (Smr.Command.Set !id) in
+      st.(0) <-
+        proto.Sim.Runtime.on_message ctxs.(0) st.(0) ~src:1
+          (Smr.Smr_messages.Forward { cmd });
+      incr id
+    done;
+    pump ()
+  done;
+  Array.iter
+    (fun s ->
+      Alcotest.(check int) "every instance chosen" total (Mp.chosen_upto s);
+      Alcotest.(check int) "no tallies left" 0 (Mp.tally_count s))
+    st;
+  Alcotest.(check bool)
+    (Printf.sprintf "at most %d tallies at once (saw %d)" in_flight !most)
+    true (!most <= in_flight)
+
+(* Property: the 1b answering a 1a, and the session timer's stand-down
+   decision, are those of the whole-map folds they replaced, on states
+   with a chosen prefix of up to 10^4 instances plus random chosen
+   entries, votes and proposals above it. *)
+let prop_periodic_paths_match_whole_map_folds =
+  let n = 3 in
+  let cmd i = Smr.Command.make ~id:i (Smr.Command.Set i) in
+  let gen =
+    QCheck.Gen.(
+      let* prefix = oneof [ int_bound 20; int_bound 10_000 ] in
+      let above = int_range 0 (prefix + 64) in
+      let* chosen_extra = list_size (int_bound 12) above in
+      let* votes = list_size (int_bound 12) (pair above (int_range 0 40)) in
+      let* proposed = list_size (int_bound 24) above in
+      let* pending = int_bound 2 in
+      let* session = int_bound 3 in
+      let* mark_back = int_bound 2 in
+      return
+        (prefix, chosen_extra, votes, proposed, pending, session, mark_back))
+  in
+  let print (prefix, chosen_extra, votes, proposed, pending, session, back) =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    Printf.sprintf
+      "{prefix=%d; chosen=[%s]; votes=[%s]; proposed=[%s]; pending=%d; \
+       session=%d; mark_back=%d}"
+      prefix (ints chosen_extra)
+      (ints (List.map fst votes))
+      (ints proposed) pending session back
+  in
+  QCheck.Test.make ~name:"smr: 1b and session timer match whole-map folds"
+    ~count:200 (QCheck.make ~print gen)
+    (fun (prefix, chosen_extra, votes, proposed, pending, session, back) ->
+      let chosen =
+        List.fold_left
+          (fun m i -> Imap.add i (cmd i) m)
+          (Imap.of_seq (Seq.init prefix (fun i -> (i, cmd i))))
+          chosen_extra
+      in
+      let ivotes =
+        List.fold_left
+          (fun m (i, vbal) ->
+            if Imap.mem i chosen then m
+            else
+              Imap.add i
+                { Smr.Smr_messages.vbal; vcmd = cmd (1_000_000 + i) }
+                m)
+          Imap.empty votes
+      in
+      let proposed = List.map (fun i -> (i, cmd (2_000_000 + i))) proposed in
+      let pending = List.init pending (fun k -> cmd (3_000_000 + k)) in
+      let rec advance u = if Imap.mem u chosen then advance (u + 1) else u in
+      let upto = advance 0 in
+      let progress_mark = max 0 (upto - back) in
+      let chosen_vote c = { Smr.Smr_messages.vbal = max_int; vcmd = c } in
+      let outbox = Queue.create () and timers = ref [] in
+      let ctx = capture_ctx ~n 0 outbox timers in
+      let cfg = Dgl.Config.make ~n ~delta () in
+      let st =
+        Mp.restore cfg ctx
+          {
+            Mp.e_mbal = Consensus.Ballot.of_session ~n ~proc:0 session;
+            e_votes =
+              Imap.bindings ivotes
+              @ List.map (fun (i, c) -> (i, chosen_vote c)) (Imap.bindings chosen);
+            e_chosen_upto = 0;
+          }
+      in
+      let st = Mp.Private.with_inflight st ~proposed ~pending ~progress_mark in
+      let proto = Mp.protocol cfg ~workloads:(Array.make n []) in
+      (* the 1b, against the old fold over the whole chosen map *)
+      let expect_votes =
+        Imap.fold
+          (fun i v acc -> (i, v) :: acc)
+          ivotes
+          (Imap.fold
+             (fun i c acc -> if i >= upto then (i, chosen_vote c) :: acc else acc)
+             chosen [])
+      in
+      Queue.clear outbox;
+      let mbal = Mp.mbal st in
+      ignore (proto.Sim.Runtime.on_message ctx st ~src:1
+                (Smr.Smr_messages.M1a { mbal }) : Mp.state);
+      let sent_1b =
+        Queue.fold
+          (fun acc (_, _, m) ->
+            match m with
+            | Smr.Smr_messages.M1b { mbal = b; votes; chosen_upto } ->
+                Some (b, votes, chosen_upto)
+            | _ -> acc)
+          None outbox
+      in
+      if sent_1b <> Some (mbal, expect_votes, upto) then
+        QCheck.Test.fail_report "1b differs from the whole-map fold";
+      (* the session timer, against the old whole-map scans *)
+      let work_outstanding =
+        pending <> []
+        || Imap.exists (fun i _ -> not (Imap.mem i chosen)) ivotes
+        || List.exists (fun (i, _) -> not (Imap.mem i chosen)) proposed
+      in
+      let expect_stand_down = not (work_outstanding && upto <= progress_mark) in
+      timers := [];
+      let tag = Mp.session_number st in
+      ignore (proto.Sim.Runtime.on_timer ctx st ~tag : Mp.state);
+      List.mem tag !timers = expect_stand_down
+      || QCheck.Test.fail_report "session timer decided differently")
+
 let suite =
   [
     Alcotest.test_case "command apply" `Quick test_command_apply;
@@ -414,4 +594,7 @@ let suite =
     Alcotest.test_case "empty workload stays quiet" `Quick
       test_empty_workload_quiet;
     QCheck_alcotest.to_alcotest prop_logs_converge;
+    Alcotest.test_case "2b tallies stay at the in-flight size" `Quick
+      test_tallies_stay_in_flight;
+    QCheck_alcotest.to_alcotest prop_periodic_paths_match_whole_map_folds;
   ]
