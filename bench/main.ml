@@ -2,10 +2,10 @@
 
    Two halves:
    1. Bechamel micro-benchmarks — one [Test.make] per experiment table,
-      each timing one representative execution of that experiment's
-      scenario (so the cost of regenerating each table is itself
-      tracked), plus substrate micro-benches (event queue, PRNG, the
-      ordering oracle).
+      each timing that experiment's representative execution from
+      [Harness.Experiments.representatives] (so the cost of
+      regenerating each table is itself tracked), plus substrate
+      micro-benches (event queue, PRNG, the ordering oracle).
    2. The experiment tables themselves (E1-E9, A1, A2): the rows that
       reproduce each of the paper's quantitative claims.
 
@@ -25,223 +25,6 @@ open Bechamel
 let delta = 0.01
 
 let ts = 0.5
-
-(* --- representative single runs, one per experiment table ----------- *)
-
-let run_modified_paxos ~n ~network ~faults ~injections () =
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L ~network ~faults ()
-  in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  Sim.Engine.run ~injections sc (Dgl.Modified_paxos.protocol cfg)
-
-let e1_once () =
-  let n = 9 in
-  let victims = Harness.Adversaries.faulty_minority ~n in
-  ignore
-    (run_modified_paxos ~n ~network:Sim.Network.deterministic_after_ts
-       ~faults:(Sim.Fault.make ~initially_down:victims [])
-       ~injections:
-         (Harness.Adversaries.dgl_session1_injections ~n ~from:ts
-            ~spacing:(2. *. delta) ~victims)
-       ())
-
-let e2_once () =
-  let n = 9 in
-  let victims = Harness.Adversaries.faulty_minority ~n in
-  let faults = Sim.Fault.make ~initially_down:victims [] in
-  let t0 =
-    Harness.Adversaries.traditional_first_start ~ts ~theta:(2. *. delta)
-      ~stabilize_delay:delta
-  in
-  let injections =
-    Harness.Adversaries.paxos_aligned_injections ~n ~delta ~t0 ~leader:0
-      ~victims
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts ~faults ()
-  in
-  let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
-  ignore
-    (Sim.Engine.run ~injections sc
-       (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ()))
-
-let e3_once () =
-  let n = 9 in
-  let dead = List.init (Consensus.Quorum.majority n - 1) (fun i -> i) in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.silent_until_ts
-      ~faults:(Sim.Fault.make ~initially_down:dead [])
-      ()
-  in
-  ignore
-    (Sim.Engine.run sc (Baselines.Rotating_coordinator.protocol ~n ~delta ()))
-
-let e4_once () =
-  let n = 5 in
-  let faults =
-    Sim.Fault.crash_then_restart ~crash_at:(ts /. 2.)
-      ~restart_at:(ts +. (20. *. delta))
-      2
-  in
-  ignore
-    (run_modified_paxos ~n
-       ~network:(Sim.Network.eventually_synchronous ())
-       ~faults ~injections:[] ())
-
-let e5_once () =
-  let n = 9 in
-  let victims = Harness.Adversaries.faulty_minority ~n in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.silent_until_ts
-      ~faults:(Sim.Fault.make ~initially_down:victims [])
-      ()
-  in
-  ignore
-    (Sim.Engine.run sc
-       (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ()))
-
-let e6_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta ~epsilon:delta () in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.silent_until_ts ()
-  in
-  ignore (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg))
-
-let e7_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let options = { Dgl.Modified_paxos.default_options with prestart = true } in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts:0. ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts ()
-  in
-  ignore (Sim.Engine.run sc (Dgl.Modified_paxos.protocol ~options cfg))
-
-let e8_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta ~sigma:(8. *. delta) () in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.silent_until_ts ()
-  in
-  ignore (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg))
-
-let e9_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta ~rho:0.05 () in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~rho:0.05 ~seed:42L
-      ~network:Sim.Network.silent_until_ts ()
-  in
-  ignore (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg))
-
-let a1_once () =
-  let n = 9 in
-  let victims = Harness.Adversaries.faulty_minority ~n in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let options =
-    { Dgl.Modified_paxos.default_options with session_gate = false }
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts
-      ~faults:(Sim.Fault.make ~initially_down:victims [])
-      ()
-  in
-  ignore
-    (Sim.Engine.run
-       ~injections:
-         (Harness.Adversaries.dgl_high_session_injections ~n ~from:ts
-            ~spacing:(3. *. delta) ~victims)
-       sc
-       (Dgl.Modified_paxos.protocol ~options cfg))
-
-let a2_once () =
-  let n = 9 in
-  let tuning =
-    {
-      (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-      hold_back = 0.5 *. delta;
-    }
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:(Sim.Network.eventually_synchronous ())
-      ~horizon:(ts +. (500. *. delta))
-      ()
-  in
-  ignore
-    (Sim.Engine.run sc
-       (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0. ()))
-
-let e10_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let workloads =
-    Array.init n (fun p ->
-        if p <> 1 then []
-        else
-          List.init 4 (fun k ->
-              ( 0.2 +. (10. *. delta *. float_of_int k),
-                Smr.Command.make ~id:k (Smr.Command.Add 1) )))
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts:0. ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts ~horizon:1.0 ()
-  in
-  ignore (Sim.Engine.run sc (Smr.Multi_paxos.protocol cfg ~workloads))
-
-let a3_once () =
-  let n = 5 in
-  let tuning =
-    {
-      (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-      epsilon = delta;
-      jump = false;
-    }
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts:(25. *. delta) ~delta ~seed:42L
-      ~network:(Sim.Network.partitioned_until_ts [ List.init (n - 1) Fun.id ])
-      ~horizon:(25. *. delta +. 2.) ()
-  in
-  ignore
-    (Sim.Engine.run sc
-       (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0. ()))
-
-let e11_once () =
-  let n = 9 in
-  let dead = List.init (n - Consensus.Quorum.majority n) Fun.id in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts ~delta ~seed:42L
-      ~network:Sim.Network.deterministic_after_ts
-      ~faults:(Sim.Fault.make ~initially_down:dead [])
-      ~horizon:(ts +. 1.0) ()
-  in
-  ignore (Sim.Engine.run sc (Baselines.Heartbeat_omega.protocol ~n ~delta ()))
-
-let a4_once () =
-  let n = 5 in
-  let cfg = Dgl.Config.make ~n ~delta () in
-  let workloads =
-    Array.init n (fun p ->
-        if p <> 1 then []
-        else [ (0.1, Smr.Command.make ~id:0 (Smr.Command.Add 1)) ])
-  in
-  let sc =
-    Sim.Scenario.make ~name:"bench" ~n ~ts:0. ~delta ~seed:42L
-      ~network:Sim.Network.always_synchronous ~stop_on_all_decided:false
-      ~horizon:1.0 ()
-  in
-  ignore
-    (Sim.Engine.run sc
-       (Smr.Multi_paxos.protocol ~progress_gate:false cfg ~workloads))
 
 (* --- substrate micro-benches ---------------------------------------- *)
 
@@ -313,24 +96,15 @@ let cheap_cases =
     Test.make ~name:"substrate/ordering-oracle-200" (Staged.stage oracle_churn);
   ]
 
+(* One case per experiment: its representative run from
+   [Harness.Experiments.representatives], tracing off, no checker. *)
 let expensive_cases =
-  [
-      Test.make ~name:"e1/modified-paxos-run" (Staged.stage e1_once);
-      Test.make ~name:"e2/traditional-paxos-run" (Staged.stage e2_once);
-      Test.make ~name:"e3/rotating-coordinator-run" (Staged.stage e3_once);
-      Test.make ~name:"e4/restart-run" (Staged.stage e4_once);
-      Test.make ~name:"e5/b-consensus-run" (Staged.stage e5_once);
-      Test.make ~name:"e6/epsilon-run" (Staged.stage e6_once);
-      Test.make ~name:"e7/prestart-run" (Staged.stage e7_once);
-      Test.make ~name:"e8/sigma-run" (Staged.stage e8_once);
-      Test.make ~name:"e9/drift-run" (Staged.stage e9_once);
-      Test.make ~name:"a1/ungated-run" (Staged.stage a1_once);
-      Test.make ~name:"a2/holdback-run" (Staged.stage a2_once);
-      Test.make ~name:"e10/smr-run" (Staged.stage e10_once);
-      Test.make ~name:"e11/omega-run" (Staged.stage e11_once);
-    Test.make ~name:"a3/nojump-run" (Staged.stage a3_once);
-    Test.make ~name:"a4/progress-gate-run" (Staged.stage a4_once);
-  ]
+  List.map
+    (fun { Harness.Experiments.id; label; run } ->
+      Test.make ~name:(id ^ "/" ^ label)
+        (Staged.stage (fun () ->
+             ignore (run ~record_trace:false : Harness.Experiments.run))))
+    Harness.Experiments.representatives
 
 (* [run_micro cases] prints the human table and returns
    [(name, ns_per_run option, r_square option)] rows for the JSON dump. *)

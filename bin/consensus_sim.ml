@@ -31,16 +31,14 @@ open Cmdliner
 (* Shared argument parsing                                             *)
 (* ------------------------------------------------------------------ *)
 
-type proto_kind = Modified_paxos | Traditional_paxos | Rotating | B_consensus | Smr
+module Fs = Harness.Fuzz_scenario
 
+(* The simulator's consensus protocols, then the run-only [smr]. *)
 let protocols =
-  [
-    ("modified-paxos", Modified_paxos);
-    ("traditional-paxos", Traditional_paxos);
-    ("rotating-coordinator", Rotating);
-    ("b-consensus", B_consensus);
-    ("smr", Smr);
-  ]
+  List.map (fun p -> (Fs.protocol_name p, `Consensus p)) Fs.protocols
+  @ [ ("smr", `Smr) ]
+
+let read_whole_file path = In_channel.with_open_bin path In_channel.input_all
 
 let networks delta =
   [
@@ -106,11 +104,12 @@ let network_arg =
 let proto_arg =
   Arg.(
     value
-    & opt (enum protocols) Modified_paxos
+    & opt (enum protocols) (`Consensus Fs.Modified_paxos)
     & info [ "protocol"; "p" ]
         ~doc:
           "Protocol: $(b,modified-paxos) (the paper's algorithm), \
-           $(b,traditional-paxos), $(b,rotating-coordinator), \
+           $(b,ungated-paxos) (modified Paxos without the session gate, the \
+           A1 ablation), $(b,traditional-paxos), $(b,rotating-coordinator), \
            $(b,b-consensus), or $(b,smr) (state machine replication; see \
            --commands).")
 
@@ -215,29 +214,12 @@ let run_cmd_impl proto n delta ts rho seed network crashes restarts down
   | Ok () -> ()
   | Error msg -> failwith ("invalid scenario: " ^ msg));
   match proto with
-  | Modified_paxos ->
-      let cfg = Dgl.Config.make ?sigma ?epsilon ~rho ~n ~delta () in
-      let r = Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg) in
-      print_result ~ts ~delta r ~trace
-  | Traditional_paxos ->
-      let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
-      let r =
-        Sim.Engine.run sc
-          (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ())
-      in
-      print_result ~ts ~delta r ~trace
-  | Rotating ->
-      let r =
-        Sim.Engine.run sc (Baselines.Rotating_coordinator.protocol ~n ~delta ())
-      in
-      print_result ~ts ~delta r ~trace
-  | B_consensus ->
-      let r =
-        Sim.Engine.run sc
-          (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho ())
-      in
-      print_result ~ts ~delta r ~trace
-  | Smr ->
+  | `Consensus p -> (
+      match Fs.instantiate ?sigma ?epsilon p sc [] with
+      | Fs.Packed { protocol; injections; _ } ->
+          print_result ~ts ~delta ~trace
+            (Sim.Engine.run ~injections sc protocol))
+  | `Smr ->
       let cfg = Dgl.Config.make ?sigma ?epsilon ~rho ~n ~delta () in
       let workloads =
         Array.init n (fun p ->
@@ -329,6 +311,14 @@ let sweep_impl proto sizes seeds delta ts network =
   in
   Format.printf "  %-4s | %-10s | %-10s | %s@." "n" "mean(d)" "worst(d)"
     "undecided";
+  let consensus =
+    match proto with
+    | `Consensus p -> p
+    | `Smr ->
+        failwith
+          "sweep does not support -p smr (single-shot consensus latencies \
+           only)"
+  in
   List.iter
     (fun n ->
       let lats =
@@ -349,62 +339,15 @@ let sweep_impl proto sizes seeds delta ts network =
                    ~except:(Harness.Adversaries.faulty_minority ~n)
                    ()
                in
-               let r =
-                 match proto with
-                 | Modified_paxos ->
-                     let cfg = Dgl.Config.make ~n ~delta () in
-                     let r =
-                       Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg)
-                     in
-                     List.map
-                       (fun p ->
-                         match r.Sim.Engine.decision_times.(p) with
-                         | Some t -> (t -. ts) /. delta
-                         | None -> Float.infinity)
-                       live
-                 | Traditional_paxos ->
-                     let oracle =
-                       Baselines.Leader_election.make ~n ~ts ~delta ~faults ()
-                     in
-                     let r =
-                       Sim.Engine.run sc
-                         (Baselines.Traditional_paxos.protocol ~n ~delta
-                            ~oracle ())
-                     in
-                     List.map
-                       (fun p ->
-                         match r.Sim.Engine.decision_times.(p) with
-                         | Some t -> (t -. ts) /. delta
-                         | None -> Float.infinity)
-                       live
-                 | Rotating ->
-                     let r =
-                       Sim.Engine.run sc
-                         (Baselines.Rotating_coordinator.protocol ~n ~delta ())
-                     in
-                     List.map
-                       (fun p ->
-                         match r.Sim.Engine.decision_times.(p) with
-                         | Some t -> (t -. ts) /. delta
-                         | None -> Float.infinity)
-                       live
-                 | B_consensus ->
-                     let r =
-                       Sim.Engine.run sc
-                         (Bconsensus.Modified_b_consensus.protocol ~n ~delta
-                            ~rho:0. ())
-                     in
-                     List.map
-                       (fun p ->
-                         match r.Sim.Engine.decision_times.(p) with
-                         | Some t -> (t -. ts) /. delta
-                         | None -> Float.infinity)
-                       live
-                 | Smr ->
-                     failwith "sweep does not support -p smr (single-shot \
-                               consensus latencies only)"
-               in
-               r))
+               match Fs.instantiate consensus sc [] with
+               | Fs.Packed { protocol; injections; _ } ->
+                   let r = Sim.Engine.run ~injections sc protocol in
+                   List.map
+                     (fun p ->
+                       match r.Sim.Engine.decision_times.(p) with
+                       | Some t -> (t -. ts) /. delta
+                       | None -> Float.infinity)
+                     live))
       in
       let finite = List.filter Float.is_finite lats in
       let undecided = List.length lats - List.length finite in
@@ -765,12 +708,8 @@ let print_trace_summary fmt trace =
 let trace_impl id import export filters timeline stats =
   let trace, proposals, timer_bounds, metrics =
     match import with
-    | Some path ->
-        let ic = open_in_bin path in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        (match Sim.Trace.of_jsonl s with
+    | Some path -> (
+        match Sim.Trace.of_jsonl (read_whole_file path) with
         | Ok t ->
             Format.printf "imported %d entries from %s@." (Sim.Trace.length t)
               path;
@@ -1079,13 +1018,14 @@ let realtime_impl proto n delta ts seed =
        so no timer bounds, but agreement/causality/monotonicity apply. *)
     Format.printf "%a@." Harness.Invariants.pp (Harness.Invariants.check_run r)
   in
-  let run p = report (Realtime.Host.run scenario p) in
   match proto with
-  | Modified_paxos ->
-      run (Dgl.Modified_paxos.protocol (Dgl.Config.make ~n ~delta ()))
-  | B_consensus ->
-      run (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ())
-  | Traditional_paxos | Rotating | Smr ->
+  | `Consensus (Fs.Modified_paxos | Fs.B_consensus as p) -> (
+      match Fs.instantiate p scenario [] with
+      | Fs.Packed { protocol; _ } ->
+          report (Realtime.Host.run scenario protocol))
+  | `Consensus
+      ( Fs.Ungated_paxos | Fs.Traditional_paxos | Fs.Rotating_coordinator )
+  | `Smr ->
       failwith
         "realtime supports -p modified-paxos and -p b-consensus (the \
          leader oracle and workload plumbing are simulator-side)"
@@ -1113,58 +1053,41 @@ let realtime_cmd =
 (* serve / client: the real-process socket cluster                     *)
 (* ------------------------------------------------------------------ *)
 
-let cluster_conv =
-  let parse s =
-    let endpoint hp =
-      match String.rindex_opt hp ':' with
-      | None -> failwith "endpoint must be host:port"
-      | Some i ->
-          let host = String.sub hp 0 i in
-          let port =
-            int_of_string (String.sub hp (i + 1) (String.length hp - i - 1))
-          in
-          if host = "" then failwith "empty host";
-          if port < 0 || port > 65535 then failwith "port out of range";
-          (host, port)
-    in
-    match String.split_on_char ',' s with
-    | [] | [ "" ] -> Error (`Msg "empty --cluster")
-    | parts -> (
-        try Ok (Array.of_list (List.map endpoint parts))
-        with Failure msg -> Error (`Msg ("bad --cluster: " ^ msg)))
-  in
-  let print fmt c =
-    Format.pp_print_string fmt
-      (String.concat ","
-         (List.map
-            (fun (h, p) -> Printf.sprintf "%s:%d" h p)
-            (Array.to_list c)))
-  in
-  Arg.conv (parse, print)
+let pp_endpoint fmt (h, p) = Format.fprintf fmt "%s:%d" h p
+
+let parse_endpoint s =
+  let bad = Error (`Msg (Printf.sprintf "%S: expected HOST:PORT" s)) in
+  match String.rindex_opt s ':' with
+  | Some i when i > 0 -> (
+      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
+      with
+      | Some port when port >= 0 && port <= 65535 -> Ok (String.sub s 0 i, port)
+      | Some _ | None -> bad)
+  | Some _ | None -> bad
+
+let endpoint_conv = Arg.conv (parse_endpoint, pp_endpoint)
 
 let cluster_arg =
+  let parse s =
+    List.fold_right
+      (fun hp acc ->
+        Result.bind acc (fun eps ->
+            Result.map (fun ep -> ep :: eps) (parse_endpoint hp)))
+      (String.split_on_char ',' s) (Ok [])
+    |> Result.map Array.of_list
+  in
+  let print fmt c =
+    Format.pp_print_list
+      ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ',')
+      pp_endpoint fmt (Array.to_list c)
+  in
   Arg.(
     required
-    & opt (some cluster_conv) None
+    & opt (some (conv (parse, print))) None
     & info [ "cluster" ] ~docv:"HOST:PORT,..."
         ~doc:
           "Comma-separated replica endpoints, one per replica, in id \
            order (identical on every replica and client).")
-
-let endpoint_conv =
-  let parse s =
-    match String.rindex_opt s ':' with
-    | None -> Error (`Msg "expected HOST:PORT")
-    | Some i -> (
-        let host = String.sub s 0 i in
-        match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-        with
-        | Some port when host <> "" && port >= 0 && port <= 65535 ->
-            Ok (host, port)
-        | Some _ | None -> Error (`Msg "expected HOST:PORT"))
-  in
-  let print fmt (h, p) = Format.fprintf fmt "%s:%d" h p in
-  Arg.conv (parse, print)
 
 let serve_impl id cluster bind delta batch window snapshot seed verbose =
   if id < 0 || id >= Array.length cluster then begin
@@ -1599,38 +1522,6 @@ let fuzz_cmd =
 (* chaos                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
-(* A chaos corpus file is the schedule document plus the load shape
-   that exposed the failure, so `replay` re-runs the exact campaign. *)
-let chaos_entry_to_json schedule ~commands ~pipeline =
-  match Chaos.Schedule.to_json schedule with
-  | Sim.Json.Obj fields ->
-      Sim.Json.Obj
-        (fields
-        @ [
-            ("commands", Sim.Json.int commands);
-            ("pipeline", Sim.Json.int pipeline);
-          ])
-  | j -> j
-
-let chaos_entry_of_json j =
-  match Chaos.Schedule.of_json j with
-  | Error _ as e -> e
-  | Ok schedule ->
-      let geti name default =
-        match Sim.Json.member_opt name j with
-        | Some v -> (
-            match Sim.Json.to_int v with Ok i -> i | Error _ -> default)
-        | None -> default
-      in
-      Ok (schedule, geti "commands" 50_000, geti "pipeline" 128)
-
 let serve_argv ~delta ~id ~cluster ~bind ~snapshot =
   [|
     Sys.executable_name;
@@ -1712,7 +1603,7 @@ let run_campaign schedule ~commands ~pipeline ~in_process ~save_failing
         let oc = open_out path in
         output_string oc
           (Sim.Json.print_pretty
-             (chaos_entry_to_json schedule ~commands ~pipeline));
+             (Chaos.Schedule.entry_to_json schedule ~commands ~pipeline));
         output_char oc '\n';
         close_out oc;
         Format.printf "failing schedule saved to %s (replay with: \
@@ -1845,7 +1736,7 @@ let chaos_cmd =
       $ in_process_arg $ save_arg $ verbose_arg)
 
 let replay_chaos path j =
-  match chaos_entry_of_json j with
+  match Chaos.Schedule.entry_of_json j with
   | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
   | Ok (schedule, commands, pipeline) ->
       Format.printf "%s: replaying chaos campaign@." path;

@@ -398,6 +398,32 @@ let of_json j =
   let* () = validate t in
   Ok t
 
+let entry_to_json t ~commands ~pipeline =
+  match to_json t with
+  | Sim.Json.Obj fields ->
+      Sim.Json.Obj
+        (fields
+        @ [
+            ("commands", Sim.Json.int commands);
+            ("pipeline", Sim.Json.int pipeline);
+          ])
+  | j -> j
+
+let entry_of_json j =
+  let* t = of_json j in
+  let positive name default =
+    match Sim.Json.member_opt name j with
+    | None -> Ok default
+    | Some v -> (
+        match Sim.Json.to_int v with
+        | Ok i when i > 0 -> Ok i
+        | Ok _ | Error _ ->
+            Error (Printf.sprintf "%s must be a positive integer" name))
+  in
+  let* commands = positive "commands" 50_000 in
+  let* pipeline = positive "pipeline" 128 in
+  Ok (t, commands, pipeline)
+
 let pp_action fmt = function
   | Cut { src; dst; from_; until } ->
       Format.fprintf fmt "cut %d->%d [%g,%g)" src dst from_ until

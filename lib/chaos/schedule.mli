@@ -78,6 +78,17 @@ val to_json : t -> Sim.Json.t
 val of_json : Sim.Json.t -> (t, string) result
 (** Checks the [format] member and {!validate}s the result. *)
 
+val entry_to_json : t -> commands:int -> pipeline:int -> Sim.Json.t
+(** A chaos corpus file: the schedule document plus the load shape
+    ([commands], [pipeline]) that exposed the failure, so a replay
+    re-runs the exact campaign. *)
+
+val entry_of_json : Sim.Json.t -> (t * int * int, string) result
+(** Inverse of {!entry_to_json}: [(schedule, commands, pipeline)].  An
+    absent [commands] or [pipeline] member defaults to 50 000 or 128; a
+    present one that is not a positive integer is an [Error], never a
+    silent default. *)
+
 val format_tag : string
 (** ["chaos-schedule/1"]. *)
 

@@ -1230,7 +1230,215 @@ let all ?(speed = Quick) () =
     table
 
 (* ------------------------------------------------------------------ *)
-(* Traced replays: one representative run per experiment               *)
+(* Representative runs: one single execution per experiment id         *)
+(* ------------------------------------------------------------------ *)
+
+type run =
+  | Run : {
+      result : 'state Sim.Engine.run_result;
+      validity : bool;
+      timer_bounds : (float * float) option;
+    }
+      -> run
+
+type representative = {
+  id : string;
+  label : string;
+  run : record_trace:bool -> run;
+}
+
+(* Each entry receives [Sim.Scenario.make] with the shared name, delta,
+   seed and tracing switch already applied, and fills in the rest. *)
+let representatives =
+  let entry id label run =
+    {
+      id;
+      label;
+      run =
+        (fun ~record_trace ->
+          run
+            (Sim.Scenario.make ~name:("replay-" ^ id) ~delta ~seed:seed_base
+               ~record_trace));
+    }
+  in
+  let modified_paxos ?options ?(injections = []) cfg sc =
+    Run
+      {
+        result =
+          Sim.Engine.run ~injections sc
+            (Dgl.Modified_paxos.protocol ?options cfg);
+        validity = true;
+        timer_bounds = Some (delta, cfg.Dgl.Config.sigma);
+      }
+  in
+  (* [validity] is off for protocols whose decided values are not
+     proposals (SMR log checksums, elected leader ids). *)
+  let other ?(validity = true) ?injections sc protocol =
+    Run
+      {
+        result = Sim.Engine.run ?injections sc protocol;
+        validity;
+        timer_bounds = None;
+      }
+  in
+  let smr_workloads ~n cmds =
+    Array.init n (fun p -> if p = 1 then cmds else [])
+  in
+  [
+    entry "e1" "modified-paxos-run" (fun sc ->
+        let n = 9 in
+        let victims = Adversaries.faulty_minority ~n in
+        modified_paxos
+          ~injections:
+            (Adversaries.dgl_session1_injections ~n ~from:ts
+               ~spacing:(2. *. delta) ~victims)
+          (Dgl.Config.make ~n ~delta ())
+          (sc ~n ~ts ~network:Sim.Network.deterministic_after_ts
+             ~faults:(Sim.Fault.make ~initially_down:victims [])
+             ()));
+    entry "e2" "traditional-paxos-run" (fun sc ->
+        let n = 9 in
+        let victims = Adversaries.faulty_minority ~n in
+        let faults = Sim.Fault.make ~initially_down:victims [] in
+        let t0 =
+          Adversaries.traditional_first_start ~ts ~theta:(2. *. delta)
+            ~stabilize_delay:delta
+        in
+        let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
+        other
+          ~injections:
+            (Adversaries.paxos_aligned_injections ~n ~delta ~t0 ~leader:0
+               ~victims)
+          (sc ~n ~ts ~network:Sim.Network.deterministic_after_ts ~faults ())
+          (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ()));
+    entry "e3" "rotating-coordinator-run" (fun sc ->
+        let n = 9 in
+        let dead = List.init (Consensus.Quorum.majority n - 1) Fun.id in
+        other
+          (sc ~n ~ts ~network:Sim.Network.silent_until_ts
+             ~faults:(Sim.Fault.make ~initially_down:dead [])
+             ())
+          (Baselines.Rotating_coordinator.protocol ~n ~delta ()));
+    entry "e4" "restart-run" (fun sc ->
+        let n = 5 in
+        modified_paxos
+          (Dgl.Config.make ~n ~delta ())
+          (sc ~n ~ts
+             ~network:(Sim.Network.eventually_synchronous ())
+             ~faults:
+               (Sim.Fault.crash_then_restart ~crash_at:(ts /. 2.)
+                  ~restart_at:(ts +. (20. *. delta))
+                  2)
+             ()));
+    entry "e5" "b-consensus-run" (fun sc ->
+        let n = 9 in
+        let victims = Adversaries.faulty_minority ~n in
+        other
+          (sc ~n ~ts ~network:Sim.Network.silent_until_ts
+             ~faults:(Sim.Fault.make ~initially_down:victims [])
+             ())
+          (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ()));
+    entry "e6" "epsilon-run" (fun sc ->
+        let n = 5 in
+        modified_paxos
+          (Dgl.Config.make ~n ~delta ~epsilon:delta ())
+          (sc ~n ~ts ~network:Sim.Network.silent_until_ts ()));
+    entry "e7" "prestart-run" (fun sc ->
+        let n = 5 in
+        modified_paxos
+          ~options:{ Dgl.Modified_paxos.default_options with prestart = true }
+          (Dgl.Config.make ~n ~delta ())
+          (sc ~n ~ts:0. ~network:Sim.Network.deterministic_after_ts ()));
+    entry "e8" "sigma-run" (fun sc ->
+        let n = 5 in
+        modified_paxos
+          (Dgl.Config.make ~n ~delta ~sigma:(8. *. delta) ())
+          (sc ~n ~ts ~network:Sim.Network.silent_until_ts ()));
+    entry "e9" "drift-run" (fun sc ->
+        let n = 5 in
+        modified_paxos
+          (Dgl.Config.make ~n ~delta ~rho:0.05 ())
+          (sc ~n ~ts ~rho:0.05 ~network:Sim.Network.silent_until_ts ()));
+    entry "e10" "smr-run" (fun sc ->
+        let n = 5 in
+        let workloads =
+          smr_workloads ~n
+            (List.init 4 (fun k ->
+                 ( 0.2 +. (10. *. delta *. float_of_int k),
+                   Smr.Command.make ~id:k (Smr.Command.Add 1) )))
+        in
+        other ~validity:false
+          (sc ~n ~ts:0. ~network:Sim.Network.deterministic_after_ts
+             ~horizon:1.0 ())
+          (Smr.Multi_paxos.protocol (Dgl.Config.make ~n ~delta ()) ~workloads));
+    entry "e11" "omega-run" (fun sc ->
+        let n = 9 in
+        let dead = List.init (n - Consensus.Quorum.majority n) Fun.id in
+        other ~validity:false
+          (sc ~n ~ts ~network:Sim.Network.deterministic_after_ts
+             ~faults:(Sim.Fault.make ~initially_down:dead [])
+             ~horizon:(ts +. 1.0) ())
+          (Baselines.Heartbeat_omega.protocol ~n ~delta ()));
+    entry "a1" "ungated-run" (fun sc ->
+        let n = 9 in
+        let victims = Adversaries.faulty_minority ~n in
+        modified_paxos
+          ~options:
+            { Dgl.Modified_paxos.default_options with session_gate = false }
+          ~injections:
+            (Adversaries.dgl_high_session_injections ~n ~from:ts
+               ~spacing:(3. *. delta) ~victims)
+          (Dgl.Config.make ~n ~delta ())
+          (sc ~n ~ts ~network:Sim.Network.deterministic_after_ts
+             ~faults:(Sim.Fault.make ~initially_down:victims [])
+             ()));
+    entry "a2" "holdback-run" (fun sc ->
+        let n = 9 in
+        let tuning =
+          {
+            (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
+            hold_back = 0.5 *. delta;
+          }
+        in
+        other
+          (sc ~n ~ts
+             ~network:(Sim.Network.eventually_synchronous ())
+             ~horizon:(ts +. (500. *. delta))
+             ())
+          (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0.
+             ()));
+    entry "a3" "nojump-run" (fun sc ->
+        let n = 5 in
+        let tuning =
+          {
+            (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
+            epsilon = delta;
+            jump = false;
+          }
+        in
+        other
+          (sc ~n ~ts:(25. *. delta)
+             ~network:
+               (Sim.Network.partitioned_until_ts [ List.init (n - 1) Fun.id ])
+             ~horizon:((25. *. delta) +. 2.)
+             ())
+          (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta ~rho:0.
+             ()));
+    entry "a4" "progress-gate-run" (fun sc ->
+        let n = 5 in
+        let workloads =
+          smr_workloads ~n [ (0.1, Smr.Command.make ~id:0 (Smr.Command.Add 1)) ]
+        in
+        other ~validity:false
+          (sc ~n ~ts:0. ~network:Sim.Network.always_synchronous
+             ~stop_on_all_decided:false ~horizon:1.0 ())
+          (Smr.Multi_paxos.protocol ~progress_gate:false
+             (Dgl.Config.make ~n ~delta ())
+             ~workloads));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Traced replays                                                      *)
 (* ------------------------------------------------------------------ *)
 
 type replay = {
@@ -1243,248 +1451,23 @@ type replay = {
   invariants : Invariants.report;
 }
 
-(* Wrap a finished run.  [validity] is off for protocols whose decided
-   values are not proposals (SMR log checksums, elected leader ids). *)
-let finish ~replay_id ?timer_bounds ~validity (r : _ Sim.Engine.run_result) =
-  let proposals =
-    if validity then Some r.Sim.Engine.scenario.Sim.Scenario.proposals
-    else None
-  in
-  {
-    replay_id;
-    scenario = r.Sim.Engine.scenario;
-    trace = r.Sim.Engine.trace;
-    metrics = r.Sim.Engine.metrics;
-    proposals;
-    timer_bounds;
-    invariants = Invariants.check ?proposals ?timer_bounds r.Sim.Engine.trace;
-  }
-
-(* Each replay mirrors the representative single run bench/main.ml times
-   for the same experiment id (same sizes, same adversary, same seed),
-   with tracing on. *)
 let replay id =
   let id = String.lowercase_ascii id in
-  let seed = seed_base in
-  let mk_mp ?options ~n ~cfg ~network ?faults ?horizon ~injections ~sc_ts ()
-      =
-    let sc =
-      Sim.Scenario.make ~name:("replay-" ^ id) ~n ~ts:sc_ts ~delta ~seed
-        ~network ?faults ?horizon ~record_trace:true ()
-    in
-    let r =
-      Sim.Engine.run ~injections sc (Dgl.Modified_paxos.protocol ?options cfg)
-    in
-    finish ~replay_id:id
-      ~timer_bounds:(delta, cfg.Dgl.Config.sigma)
-      ~validity:true r
-  in
-  match id with
-  | "e1" ->
-      let n = 9 in
-      let victims = Adversaries.faulty_minority ~n in
-      Some
-        (mk_mp ~n
-           ~cfg:(Dgl.Config.make ~n ~delta ())
-           ~network:Sim.Network.deterministic_after_ts
-           ~faults:(Sim.Fault.make ~initially_down:victims [])
-           ~injections:
-             (Adversaries.dgl_session1_injections ~n ~from:ts
-                ~spacing:(2. *. delta) ~victims)
-           ~sc_ts:ts ())
-  | "e2" ->
-      let n = 9 in
-      let victims = Adversaries.faulty_minority ~n in
-      let faults = Sim.Fault.make ~initially_down:victims [] in
-      let t0 =
-        Adversaries.traditional_first_start ~ts ~theta:(2. *. delta)
-          ~stabilize_delay:delta
-      in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e2" ~n ~ts ~delta ~seed
-          ~network:Sim.Network.deterministic_after_ts ~faults
-          ~record_trace:true ()
-      in
-      let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run
-              ~injections:
-                (Adversaries.paxos_aligned_injections ~n ~delta ~t0 ~leader:0
-                   ~victims)
-              sc
-              (Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ())))
-  | "e3" ->
-      let n = 9 in
-      let dead = List.init (Consensus.Quorum.majority n - 1) Fun.id in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e3" ~n ~ts ~delta ~seed
-          ~network:Sim.Network.silent_until_ts
-          ~faults:(Sim.Fault.make ~initially_down:dead [])
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run sc
-              (Baselines.Rotating_coordinator.protocol ~n ~delta ())))
-  | "e4" ->
-      let n = 5 in
-      Some
-        (mk_mp ~n
-           ~cfg:(Dgl.Config.make ~n ~delta ())
-           ~network:(Sim.Network.eventually_synchronous ())
-           ~faults:
-             (Sim.Fault.crash_then_restart ~crash_at:(ts /. 2.)
-                ~restart_at:(ts +. (20. *. delta))
-                2)
-           ~injections:[] ~sc_ts:ts ())
-  | "e5" ->
-      let n = 9 in
-      let victims = Adversaries.faulty_minority ~n in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e5" ~n ~ts ~delta ~seed
-          ~network:Sim.Network.silent_until_ts
-          ~faults:(Sim.Fault.make ~initially_down:victims [])
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run sc
-              (Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho:0. ())))
-  | "e6" ->
-      let n = 5 in
-      Some
-        (mk_mp ~n
-           ~cfg:(Dgl.Config.make ~n ~delta ~epsilon:delta ())
-           ~network:Sim.Network.silent_until_ts ~injections:[] ~sc_ts:ts ())
-  | "e7" ->
-      let n = 5 in
-      Some
-        (mk_mp ~n
-           ~options:{ Dgl.Modified_paxos.default_options with prestart = true }
-           ~cfg:(Dgl.Config.make ~n ~delta ())
-           ~network:Sim.Network.deterministic_after_ts ~injections:[]
-           ~sc_ts:0. ())
-  | "e8" ->
-      let n = 5 in
-      Some
-        (mk_mp ~n
-           ~cfg:(Dgl.Config.make ~n ~delta ~sigma:(8. *. delta) ())
-           ~network:Sim.Network.silent_until_ts ~injections:[] ~sc_ts:ts ())
-  | "e9" ->
-      let n = 5 in
-      let cfg = Dgl.Config.make ~n ~delta ~rho:0.05 () in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e9" ~n ~ts ~delta ~rho:0.05 ~seed
-          ~network:Sim.Network.silent_until_ts ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id
-           ~timer_bounds:(delta, cfg.Dgl.Config.sigma)
-           ~validity:true
-           (Sim.Engine.run sc (Dgl.Modified_paxos.protocol cfg)))
-  | "a1" ->
-      let n = 9 in
-      let victims = Adversaries.faulty_minority ~n in
-      Some
-        (mk_mp ~n
-           ~options:
-             { Dgl.Modified_paxos.default_options with session_gate = false }
-           ~cfg:(Dgl.Config.make ~n ~delta ())
-           ~network:Sim.Network.deterministic_after_ts
-           ~faults:(Sim.Fault.make ~initially_down:victims [])
-           ~injections:
-             (Adversaries.dgl_high_session_injections ~n ~from:ts
-                ~spacing:(3. *. delta) ~victims)
-           ~sc_ts:ts ())
-  | "a2" ->
-      let n = 9 in
-      let tuning =
-        {
-          (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-          hold_back = 0.5 *. delta;
-        }
-      in
-      let sc =
-        Sim.Scenario.make ~name:"replay-a2" ~n ~ts ~delta ~seed
-          ~network:(Sim.Network.eventually_synchronous ())
-          ~horizon:(ts +. (500. *. delta))
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run sc
-              (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta
-                 ~rho:0. ())))
-  | "e10" ->
-      let n = 5 in
-      let cfg = Dgl.Config.make ~n ~delta () in
-      let workloads =
-        Array.init n (fun p ->
-            if p <> 1 then []
-            else
-              List.init 4 (fun k ->
-                  ( 0.2 +. (10. *. delta *. float_of_int k),
-                    Smr.Command.make ~id:k (Smr.Command.Add 1) )))
-      in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e10" ~n ~ts:0. ~delta ~seed
-          ~network:Sim.Network.deterministic_after_ts ~horizon:1.0
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:false
-           (Sim.Engine.run sc (Smr.Multi_paxos.protocol cfg ~workloads)))
-  | "a3" ->
-      let n = 5 in
-      let tuning =
-        {
-          (Bconsensus.Modified_b_consensus.default_tuning ~delta) with
-          epsilon = delta;
-          jump = false;
-        }
-      in
-      let sc =
-        Sim.Scenario.make ~name:"replay-a3" ~n ~ts:(25. *. delta) ~delta
-          ~seed
-          ~network:
-            (Sim.Network.partitioned_until_ts [ List.init (n - 1) Fun.id ])
-          ~horizon:((25. *. delta) +. 2.)
-          ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:true
-           (Sim.Engine.run sc
-              (Bconsensus.Modified_b_consensus.protocol ~tuning ~n ~delta
-                 ~rho:0. ())))
-  | "e11" ->
-      let n = 9 in
-      let dead = List.init (n - Consensus.Quorum.majority n) Fun.id in
-      let sc =
-        Sim.Scenario.make ~name:"replay-e11" ~n ~ts ~delta ~seed
-          ~network:Sim.Network.deterministic_after_ts
-          ~faults:(Sim.Fault.make ~initially_down:dead [])
-          ~horizon:(ts +. 1.0) ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:false
-           (Sim.Engine.run sc
-              (Baselines.Heartbeat_omega.protocol ~n ~delta ())))
-  | "a4" ->
-      let n = 5 in
-      let cfg = Dgl.Config.make ~n ~delta () in
-      let workloads =
-        Array.init n (fun p ->
-            if p <> 1 then []
-            else [ (0.1, Smr.Command.make ~id:0 (Smr.Command.Add 1)) ])
-      in
-      let sc =
-        Sim.Scenario.make ~name:"replay-a4" ~n ~ts:0. ~delta ~seed
-          ~network:Sim.Network.always_synchronous ~stop_on_all_decided:false
-          ~horizon:1.0 ~record_trace:true ()
-      in
-      Some
-        (finish ~replay_id:id ~validity:false
-           (Sim.Engine.run sc
-              (Smr.Multi_paxos.protocol ~progress_gate:false cfg ~workloads)))
-  | _ -> None
+  List.find_opt (fun rep -> String.equal rep.id id) representatives
+  |> Option.map (fun rep ->
+         match rep.run ~record_trace:true with
+         | Run { result = r; validity; timer_bounds } ->
+             let scenario = r.Sim.Engine.scenario in
+             let proposals =
+               if validity then Some scenario.Sim.Scenario.proposals else None
+             in
+             {
+               replay_id = id;
+               scenario;
+               trace = r.Sim.Engine.trace;
+               metrics = r.Sim.Engine.metrics;
+               proposals;
+               timer_bounds;
+               invariants =
+                 Invariants.check ?proposals ?timer_bounds r.Sim.Engine.trace;
+             })

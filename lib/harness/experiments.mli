@@ -101,12 +101,41 @@ val reset_metrics : unit -> unit
 (** A copy of everything collected since the last {!reset_metrics}. *)
 val metrics_snapshot : unit -> Sim.Registry.t
 
-(** {1 Traced replays}
+(** {1 Representative runs}
 
-    One representative, fully-traced run per experiment id — the same
-    scenario bench/main.ml times for that id.  This is what the
-    [consensus_sim trace] subcommand replays and what the invariant
-    tests check. *)
+    One representative single execution per experiment id, defined once
+    in {!representatives}: the same sizes, adversary and seed as a
+    typical row of that experiment's table.  {!replay} runs it with
+    tracing on and checks the trace invariants (the [consensus_sim
+    trace] subcommand and the invariant tests); bench/main.ml times it
+    with tracing off and no checker, as the Bechamel case
+    ["<id>/<label>"].  Changing a representative scenario is therefore
+    a one-place edit. *)
+
+(** A finished representative run, its protocol state type hidden.
+    [validity] is [true] when decided values are proposals (not SMR log
+    checksums or elected leader ids); [timer_bounds] is
+    [Some (delta, sigma)] for modified-Paxos runs, whose session timers
+    must stay inside [[4 delta, sigma]]. *)
+type run =
+  | Run : {
+      result : 'state Sim.Engine.run_result;
+      validity : bool;
+      timer_bounds : (float * float) option;
+    }
+      -> run
+
+type representative = {
+  id : string;  (** lower-cased experiment id *)
+  label : string;  (** bench case suffix, e.g. ["modified-paxos-run"] *)
+  run : record_trace:bool -> run;
+      (** builds the scenario (named ["replay-<id>"]) and runs it *)
+}
+
+(** One entry per id, in {!ids} order. *)
+val representatives : representative list
+
+(** {1 Traced replays} *)
 
 type replay = {
   replay_id : string;  (** lower-cased experiment id *)
@@ -121,6 +150,6 @@ type replay = {
   invariants : Invariants.report;  (** checker verdict on the trace *)
 }
 
-(** [replay id] runs the representative scenario for [id]
-    (case-insensitive) with tracing on; [None] for unknown ids. *)
+(** [replay id] runs the representative for [id] (case-insensitive)
+    with tracing on and checks its trace; [None] for unknown ids. *)
 val replay : string -> replay option

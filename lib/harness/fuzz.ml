@@ -104,74 +104,15 @@ let outcome_of_run (fs : Fuzz_scenario.t) (report : Invariants.report)
     msgs_dropped = r.Sim.Engine.messages_dropped;
   }
 
-let dgl_injections (fs : Fuzz_scenario.t) =
-  List.map
-    (fun { Fuzz_scenario.at; src; dst; session } ->
-      ( at,
-        src,
-        dst,
-        Dgl.Messages.P1a
-          { mbal = Consensus.Ballot.of_session ~n:fs.n ~proc:src session } ))
-    fs.injections
-
-let paxos_injections (fs : Fuzz_scenario.t) =
-  List.map
-    (fun { Fuzz_scenario.at; src; dst; session } ->
-      ( at,
-        src,
-        dst,
-        Baselines.Paxos_messages.P1a
-          { mbal = Consensus.Ballot.of_session ~n:fs.n ~proc:src session } ))
-    fs.injections
-
 let run_one (fs : Fuzz_scenario.t) =
   (match Fuzz_scenario.validate fs with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Fuzz.run_one: " ^ msg));
   let sc = Fuzz_scenario.to_scenario fs in
-  match fs.protocol with
-  | Fuzz_scenario.Modified_paxos | Fuzz_scenario.Ungated_paxos ->
-      let options =
-        {
-          Dgl.Modified_paxos.default_options with
-          session_gate =
-            (match fs.protocol with
-            | Fuzz_scenario.Ungated_paxos -> false
-            | _ -> true);
-        }
-      in
-      let cfg = Dgl.Config.make ~n:fs.n ~delta:fs.delta ~rho:fs.rho () in
-      let r =
-        Sim.Engine.run ~injections:(dgl_injections fs) sc
-          (Dgl.Modified_paxos.protocol ~options cfg)
-      in
-      outcome_of_run fs
-        (Invariants.check_run ~timer_bounds:(fs.delta, cfg.Dgl.Config.sigma) r)
-        r
-  | Fuzz_scenario.Traditional_paxos ->
-      let oracle =
-        Baselines.Leader_election.make ~n:fs.n ~ts:fs.ts ~delta:fs.delta
-          ~faults:fs.faults ()
-      in
-      let r =
-        Sim.Engine.run ~injections:(paxos_injections fs) sc
-          (Baselines.Traditional_paxos.protocol ~n:fs.n ~delta:fs.delta ~oracle
-             ())
-      in
-      outcome_of_run fs (Invariants.check_run r) r
-  | Fuzz_scenario.Rotating_coordinator ->
-      let r =
-        Sim.Engine.run sc
-          (Baselines.Rotating_coordinator.protocol ~n:fs.n ~delta:fs.delta ())
-      in
-      outcome_of_run fs (Invariants.check_run r) r
-  | Fuzz_scenario.B_consensus ->
-      let r =
-        Sim.Engine.run sc
-          (Bconsensus.Modified_b_consensus.protocol ~n:fs.n ~delta:fs.delta
-             ~rho:fs.rho ())
-      in
-      outcome_of_run fs (Invariants.check_run r) r
+  match Fuzz_scenario.instantiate fs.protocol sc fs.injections with
+  | Fuzz_scenario.Packed { protocol; injections; timer_bounds } ->
+      let r = Sim.Engine.run ~injections sc protocol in
+      outcome_of_run fs (Invariants.check_run ?timer_bounds r) r
 
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)

@@ -43,6 +43,67 @@ let takes_injections = function
 
 type injection = { at : float; src : int; dst : int; session : int }
 
+type packed =
+  | Packed : {
+      protocol : ('msg, 'state) Sim.Runtime.protocol;
+      injections : (float * int * int * 'msg) list;
+      timer_bounds : (float * float) option;
+    }
+      -> packed
+
+let instantiate ?sigma ?epsilon protocol (sc : Sim.Scenario.t) injections =
+  let { Sim.Scenario.n; ts; delta; rho; faults; _ } = sc in
+  if injections <> [] && not (takes_injections protocol) then
+    invalid_arg
+      (Printf.sprintf "Fuzz_scenario.instantiate: %s takes no injections"
+         (protocol_name protocol));
+  let p1a compile =
+    List.map
+      (fun { at; src; dst; session } ->
+        ( at,
+          src,
+          dst,
+          compile (Consensus.Ballot.of_session ~n ~proc:src session) ))
+      injections
+  in
+  match protocol with
+  | Modified_paxos | Ungated_paxos ->
+      let cfg = Dgl.Config.make ?sigma ?epsilon ~rho ~n ~delta () in
+      let options =
+        {
+          Dgl.Modified_paxos.default_options with
+          session_gate = equal_protocol protocol Modified_paxos;
+        }
+      in
+      Packed
+        {
+          protocol = Dgl.Modified_paxos.protocol ~options cfg;
+          injections = p1a (fun mbal -> Dgl.Messages.P1a { mbal });
+          timer_bounds = Some (delta, cfg.Dgl.Config.sigma);
+        }
+  | Traditional_paxos ->
+      let oracle = Baselines.Leader_election.make ~n ~ts ~delta ~faults () in
+      Packed
+        {
+          protocol = Baselines.Traditional_paxos.protocol ~n ~delta ~oracle ();
+          injections = p1a (fun mbal -> Baselines.Paxos_messages.P1a { mbal });
+          timer_bounds = None;
+        }
+  | Rotating_coordinator ->
+      Packed
+        {
+          protocol = Baselines.Rotating_coordinator.protocol ~n ~delta ();
+          injections = [];
+          timer_bounds = None;
+        }
+  | B_consensus ->
+      Packed
+        {
+          protocol = Bconsensus.Modified_b_consensus.protocol ~n ~delta ~rho ();
+          injections = [];
+          timer_bounds = None;
+        }
+
 type t = {
   name : string;
   protocol : protocol;

@@ -38,6 +38,38 @@ val protocols : protocol list
     round-based protocols take no injections. *)
 type injection = { at : float; src : int; dst : int; session : int }
 
+(** A protocol built for one engine scenario, its message type hidden.
+    The five protocols exchange five different message types, so a
+    function returning any of them needs an existential: the caller
+    unpacks it and hands [protocol] and [injections] (already compiled
+    to that message type) to {!Sim.Engine.run} or
+    [Realtime.Host.run].  [timer_bounds] is [Some (delta, sigma)] for
+    the modified-Paxos family, whose session timers
+    {!Invariants.check_run} bounds; [None] otherwise. *)
+type packed =
+  | Packed : {
+      protocol : ('msg, 'state) Sim.Runtime.protocol;
+      injections : (float * int * int * 'msg) list;
+      timer_bounds : (float * float) option;
+    }
+      -> packed
+
+(** [instantiate p sc injections] builds protocol [p] for [sc]'s [n],
+    [delta], [rho], [ts] and faults (the traditional-Paxos leader
+    oracle follows the scenario's faults).  [?sigma] and [?epsilon]
+    reach {!Dgl.Config.make} for the modified-Paxos family and are
+    ignored otherwise.  This is the one place a protocol is chosen by
+    name: the fuzzer and the CLI's [run], [sweep] and [realtime] all
+    go through it.  Raises [Invalid_argument] when [injections] is
+    non-empty for a protocol that takes none. *)
+val instantiate :
+  ?sigma:float ->
+  ?epsilon:float ->
+  protocol ->
+  Sim.Scenario.t ->
+  injection list ->
+  packed
+
 type t = {
   name : string;
   protocol : protocol;

@@ -31,6 +31,36 @@ let test_json_round_trip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong format tag must be rejected"
 
+let test_entry_codec () =
+  let s = gen 5L in
+  let entry = Chaos.Schedule.entry_to_json s ~commands:777 ~pipeline:33 in
+  (match Chaos.Schedule.entry_of_json entry with
+  | Ok (s', commands, pipeline) ->
+      Alcotest.(check bool) "schedule round-trips" true
+        (Chaos.Schedule.equal s s');
+      Alcotest.(check (pair int int)) "load shape round-trips" (777, 33)
+        (commands, pipeline)
+  | Error m -> Alcotest.fail ("entry round trip failed: " ^ m));
+  (match Chaos.Schedule.entry_of_json (Chaos.Schedule.to_json s) with
+  | Ok (_, commands, pipeline) ->
+      Alcotest.(check (pair int int)) "absent members take the defaults"
+        (50_000, 128) (commands, pipeline)
+  | Error m -> Alcotest.fail ("bare schedule rejected: " ^ m));
+  let with_member name v =
+    match entry with
+    | Sim.Json.Obj fields ->
+        Sim.Json.Obj
+          (List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) fields)
+    | j -> j
+  in
+  let rejected j =
+    match Chaos.Schedule.entry_of_json j with Error _ -> true | Ok _ -> false
+  in
+  Alcotest.(check bool) "non-integer commands rejected" true
+    (rejected (with_member "commands" (Sim.Json.Str "x")));
+  Alcotest.(check bool) "zero pipeline rejected" true
+    (rejected (with_member "pipeline" (Sim.Json.int 0)))
+
 let test_validate_rejects_model_violations () =
   let base = { (gen 1L) with Chaos.Schedule.actions = [] } in
   let rejected actions =
@@ -370,6 +400,8 @@ let suite =
     Alcotest.test_case "schedule generation is deterministic" `Quick
       test_generation_deterministic;
     Alcotest.test_case "schedule JSON round-trips" `Quick test_json_round_trip;
+    Alcotest.test_case "corpus entry codec rejects malformed load" `Quick
+      test_entry_codec;
     Alcotest.test_case "validate rejects model-shape violations" `Quick
       test_validate_rejects_model_violations;
     Alcotest.test_case "client backoff delay curve" `Quick
